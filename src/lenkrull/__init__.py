@@ -30,14 +30,13 @@ from .localpid import (
 )
 from .monomial import (
     MonomialIdeal,
-    StandardPair,
     face_count_vector,
+    face_counts,
     face_saturation,
-    local_multiplicity_oracle,
     minimalize,
     saturate_variable,
-    standard_pairs,
 )
+from .oracles import StandardPair, local_multiplicity_oracle, standard_pairs
 from .ordinal import OMEGA, Ordinal
 from .zmodule import (
     ZNormalForm,
@@ -76,6 +75,7 @@ __all__ = [
     "cb_rank_local_pid",
     "check_length_identity",
     "face_count_vector",
+    "face_counts",
     "face_saturation",
     "krull_dimension",
     "lambda_z",

@@ -187,17 +187,16 @@ def _at_unit_monomial(sc: _Scan) -> bool:
 
 
 def _parse_gens(sc: _Scan, ring: RingDescriptor, stop: str) -> CyclicPiece:
-    """Comma-separated generators: an optional leading integer, then monomials.
+    """Comma-separated generators: monomials and at most one integer, in any order.
 
     The bare digit 1 reads as the unit monomial (valid over every base and
     equivalent to an integer generator 1 over the integers); any other bare
-    number is an integer generator and must come first.
+    number is an integer generator, and 0 contributes nothing.
     """
     integer_part = 0
     monomials: list[tuple[int, ...]] = []
     sc.skip_ws()
     empty = sc.eof() if not stop else sc.peek() == stop
-    first = True
     while not empty:
         sc.skip_ws()
         if sc.peek().isdigit() and not _at_unit_monomial(sc):
@@ -207,8 +206,12 @@ def _parse_gens(sc: _Scan, ring: RingDescriptor, stop: str) -> CyclicPiece:
                 pass  # contributes nothing
             elif ring.base != "Z":
                 sc.error(f"integer generator {value} is not allowed over {ring}", start)
-            elif not first:
-                sc.error("an integer generator must come first", start)
+            elif integer_part:
+                sc.error(
+                    f"a second integer generator {value} (after {integer_part}); "
+                    "at most one is allowed",
+                    start,
+                )
             elif ring.vars and not is_squarefree(value):
                 raise UnsupportedError(
                     f"integer generator {value} is not squarefree (position {start})",
@@ -218,7 +221,6 @@ def _parse_gens(sc: _Scan, ring: RingDescriptor, stop: str) -> CyclicPiece:
                 integer_part = value
         else:
             monomials.append(_parse_monomial(sc, ring))
-        first = False
         if not sc.try_lit(","):
             break
     ideal = minimalize(len(ring.vars), monomials)

@@ -299,7 +299,10 @@ def describe_module(module: ModuleDescriptor) -> str:
 
 def analyze(module: ModuleDescriptor) -> ModuleAnalysis:
     vector = length_vector(module)
-    assert check_length_identity(vector)
+    if not check_length_identity(vector):
+        raise RuntimeError(
+            f"length identity fails for the length vector {vector.as_dict()}"
+        )
     ell = length(vector)
     return ModuleAnalysis(
         ring=str(module.ring),

@@ -1,4 +1,4 @@
-"""Monomial-ideal engine: saturations, standard pairs, local multiplicities.
+"""Monomial-ideal engine: saturations and standard-pair counts per face.
 
 Monomials are exponent tuples; an ideal is its minimal generating set.  A
 face is a set of variable indices, and a standard pair ``(root, face)`` is a
@@ -6,27 +6,48 @@ maximal admissible pair: the root has no support on the face, the root is not
 in the ideal obtained by deleting the face variables from every generator,
 and no pair with a larger face (and the root truncated accordingly) is still
 admissible.  Pairs with face F count one unit of local multiplicity each at
-the prime generated by the variables outside F, which is what
-``local_multiplicity_oracle`` recomputes independently from saturations.
+the prime generated by the variables outside F (Sturmfels-Trung-Vogel 1995),
+which ``oracles.local_multiplicity_oracle`` recomputes independently from
+saturations.
 
-Both routines enumerate only exponents below the componentwise maximum d of
-the minimal generators, which is complete: if m_i >= d_i then no generator's
-i-th exponent is binding, so m lies in the ideal iff m * x_i does, and a
-monomial outside the ideal stays outside after multiplying by any power of
-x_i; hence it is outside the saturation by x_i as well.  Consequently every
-saturation gap monomial, and the root of every maximal admissible pair, is
-inside the box (a root with a_i >= d_i is strictly dominated by the pair with
-x_i moved into the face, which the same argument shows to be admissible).
+Only roots below the componentwise maximum d of the minimal generators need
+to be examined: if m_i >= d_i then no generator's i-th exponent is binding,
+so m lies in the ideal iff m * x_i does, and a monomial outside the ideal
+stays outside after multiplying by any power of x_i.  So the root of every
+maximal admissible pair lies in the box with sides max(d_i, 1) (a root with
+a_i >= d_i is strictly dominated by the pair with x_i moved into the face,
+which the same argument shows to be admissible).
+
+``face_counts`` counts the pairs without visiting the box points.  Write I_G
+for the ideal with the variables of G deleted.  A root m with no support on F
+is admissible iff m is not in I_F, and maximal iff for every strict superface
+G the G-truncation of m lies in I_G.  That truncation lies in I_G iff some
+generator g has g_i <= m_i at every i outside G, a condition that only gets
+weaker as G grows, so the superfaces F + {j} (j outside F) suffice.
+
+Every one of these tests is constant on a cell.  For each variable i the cut
+points are 0 and every generator exponent g_i below top_i = max(d_i, 1); a
+cell is a product of intervals [c_k, c_k+1) between consecutive cut points,
+the last ending at top_i.  Each stripped ideal's i-th exponents are original
+exponents or 0, so each is a cut point or top_i, and truncation sends a
+coordinate to the cut point 0.  For such an exponent e and any m_i in
+[c_k, c_k+1), e <= m_i iff e <= c_k.  Hence a cell's points pass or fail
+together: face F takes the sub-grid whose F coordinates are 0 (width 1 on
+those axes), tests each cell's lower corner once, and adds up the widths'
+products over the other axes for the corners that pass.  The grid has at
+most (generators + 1)^variables cells whatever the size of the exponents;
+``MAX_CELLS`` bounds the cells of all the faces' sub-grids together, the
+product of (cut points + 1) over the variables, which is at least both the
+grid's size and the number of faces.
 
 Enumeration order is fixed (faces by decreasing size then numeric bitmask
-order, roots lexicographically) so outputs are deterministic.
+order) so outputs are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,8 +56,10 @@ from .errors import SizeBoundError
 
 Monomial = tuple[int, ...]
 
-# hard cap on how many box monomials a single enumeration may visit
-MAX_BOX_POINTS = 2_000_000
+# hard cap on the cells a face count may visit, over all faces
+MAX_CELLS = 2_000_000
+# rows x generators tested at once, which bounds the working arrays
+BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,14 +95,6 @@ class MonomialIdeal:
         if not self.gens:
             return (0,) * self.n_vars
         return tuple(max(g[i] for g in self.gens) for i in range(self.n_vars))
-
-
-@dataclass(frozen=True)
-class StandardPair:
-    """One free cell root * k[x_i : i in face] of the standard monomials."""
-
-    root: Monomial
-    face: frozenset[int]
 
 
 def _divides(g: Monomial, m: Monomial) -> bool:
@@ -134,111 +149,87 @@ def face_saturation(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialI
     return out
 
 
-def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
-    if ideal.gens:
-        return np.array(ideal.gens, dtype=np.int64)
-    return np.zeros((0, ideal.n_vars), dtype=np.int64)
+def _mask_vars(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _contains_many(points: np.ndarray, ideal: MonomialIdeal) -> np.ndarray:
-    """Membership of each row of ``points`` in ``ideal`` (vectorized divisor test)."""
-    gens = _gens_array(ideal)
-    if not len(gens):
-        return np.zeros(len(points), dtype=bool)
-    return (points[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)
+def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
+    """Number of standard pairs per face, counted over the cells of the box.
 
-
-def _box_points(ranges: Sequence[range]) -> np.ndarray:
-    total = 1
-    for r in ranges:
-        total *= len(r)
-        if total > MAX_BOX_POINTS:
-            raise SizeBoundError(
-                f"monomial box larger than {MAX_BOX_POINTS} points; "
-                "exponents are too large for desk-scale enumeration"
-            )
-    pts = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-    return pts.reshape(total, len(ranges))
-
-
-def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
-    """Local multiplicity at the prime spanned by the variables outside ``face``.
-
-    Deleting the face variables localizes them away; the multiplicity is then
-    the number of monomials (in the remaining variables) lying in the
-    saturation by all remaining variables but not in the ideal itself.  With
-    no remaining variables the saturation is by the zero ideal, i.e.
-    everything, so the count is 1 exactly for the zero ideal.
-    """
-    face = frozenset(face)
-    if not all(0 <= i < ideal.n_vars for i in face):
-        raise ValueError("face contains an out-of-range variable index")
-    outside = [j for j in range(ideal.n_vars) if j not in face]
-    if not outside:
-        return 1 if ideal.is_zero else 0
-    stripped = strip_variables(ideal, face)
-    if stripped.is_unit:
-        return 0
-    sat = face_saturation(stripped, outside)
-    bounds = stripped.max_exponents()
-    ranges = [range(bounds[i]) if i in outside else range(1) for i in range(ideal.n_vars)]
-    points = _box_points(ranges)
-    if not len(points):
-        return 0
-    gap = _contains_many(points, sat) & ~_contains_many(points, stripped)
-    return int(gap.sum())
-
-
-def _face_masks(n: int) -> list[int]:
-    return sorted(range(1 << n), key=lambda m: (-bin(m).count("1"), m))
-
-
-def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
-    """All maximal admissible pairs, canonically ordered.
-
-    A candidate ``(root, F)`` with in-box root is maximal iff for every strict
-    superface G the truncated root (G-coordinates zeroed) lies in the ideal
-    with the G variables deleted; otherwise that truncation is an admissible
-    strictly larger pair.
+    Faces come by decreasing size, then numeric bitmask order; zero counts are
+    omitted.  All faces are tested in one pass over (face, cell) pairs: axis
+    i takes state 0 when x_i is in the face (coordinate 0, width 1) and state
+    k when the root lies in its k-th cell.  A generator exponent becomes the
+    index of its cut point, or one past the last cell when it is the box top,
+    so ``g_i <= m_i`` for a cell's lower corner m compares indices and
+    exponents of any size fit in int64.
     """
     n = ideal.n_vars
     if ideal.is_unit:
-        return ()
-    bounds = ideal.max_exponents()
-    strips = {mask: strip_variables(ideal, _mask_vars(mask)) for mask in range(1 << n)}
-    pairs: list[StandardPair] = []
-    for mask in _face_masks(n):
-        face_vars = _mask_vars(mask)
-        ranges = [
-            range(1) if (mask >> i) & 1 else range(max(bounds[i], 1)) for i in range(n)
-        ]
-        roots = _box_points(ranges)
-        keep = ~_contains_many(roots, strips[mask])
-        if not keep.any():
-            continue
-        for sup in range(1 << n):
-            if sup == mask or (sup & mask) != mask:
-                continue
-            truncated = roots.copy()
-            truncated[:, list(_mask_vars(sup))] = 0
-            keep &= _contains_many(truncated, strips[sup])
-            if not keep.any():
-                break
-        for row in roots[keep]:
-            pairs.append(StandardPair(tuple(int(e) for e in row), frozenset(face_vars)))
-    return tuple(pairs)
-
-
-def _mask_vars(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+        return {}
+    if ideal.is_zero:
+        return {frozenset(range(n)): 1}
+    tops = [max(d, 1) for d in ideal.max_exponents()]
+    cuts = [sorted({0} | {g[i] for g in ideal.gens if g[i] < top}) for i, top in enumerate(tops)]
+    shape = tuple(len(axis) + 1 for axis in cuts)
+    # the (face, cell) pairs are the cells of all the faces' sub-grids; their
+    # number bounds both the grid and the number of faces
+    pairs = math.prod(shape)
+    if pairs > MAX_CELLS:
+        raise SizeBoundError(
+            f"monomial sub-grids of all faces hold {pairs} cells, "
+            f"above the bound MAX_CELLS = {MAX_CELLS}"
+        )
+    positions = [{c: k for k, c in enumerate(axis)} for axis in cuts]
+    ranks = np.array(
+        [[pos.get(e, len(pos)) for e, pos in zip(g, positions)] for g in ideal.gens],
+        dtype=np.int64,
+    )
+    # every face's count is at most the box volume; past int64, use Python ints
+    dtype = np.int64 if math.prod(tops) < 2**63 else object
+    # widths[i, k]: width of axis i in state k (1 for state 0, on the face)
+    widths = np.ones((n, max(shape)), dtype=dtype)
+    for i, (axis, top) in enumerate(zip(cuts, tops)):
+        widths[i, 1 : len(axis) + 1] = [b - a for a, b in zip(axis, axis[1:] + [top])]
+    axes = np.arange(n)
+    bits = np.left_shift(1, axes)
+    full = (1 << n) - 1
+    supports = np.array([sum(1 << i for i in range(n) if g[i]) for g in ideal.gens])
+    # 2^n <= pairs, so a dense per-face total is no larger than the grid
+    totals = np.zeros(1 << n, dtype=dtype)
+    step = max(1, BLOCK_ENTRIES // len(ideal.gens))
+    for start in range(0, pairs, step):
+        state = np.stack(
+            np.unravel_index(np.arange(start, min(start + step, pairs)), shape), axis=1
+        )
+        face = (state == 0) @ bits
+        # a face holding a generator's support puts the root 1, hence every
+        # root, in its stripped ideal
+        alive = ((face[:, None] & supports) != supports).all(axis=1)
+        state, face = state[alive], face[alive]
+        corner = np.maximum(state - 1, 0)
+        # bit i of rest[r, k]: generator k exceeds root r at i, off the face
+        rest = np.zeros((len(state), len(ideal.gens)), dtype=np.int64)
+        for i in range(n):
+            rest |= (ranks[:, i] > corner[:, None, i]) * bits[i]
+        rest &= ~face[:, None]
+        # admissible: no generator divides the root off the face
+        free = (rest != 0).all(axis=1)
+        # maximal: for each j off the face, some generator exceeds the root
+        # at j alone
+        single = np.where((rest & (rest - 1)) == 0, rest, 0)
+        keep = free & (np.bitwise_or.reduce(single, axis=1) == full ^ face)
+        weight = widths[axes, state[keep]].prod(axis=1)
+        np.add.at(totals, face[keep], weight)
+    order = sorted(np.flatnonzero(totals).tolist(), key=lambda f: (-bin(f).count("1"), f))
+    return {frozenset(_mask_vars(f)): int(totals[f]) for f in order}
 
 
 def face_count_vector(ideal: MonomialIdeal) -> dict[int, int]:
     """Number of standard pairs per face size; zero counts are omitted."""
     counts: dict[int, int] = {}
-    for pair in standard_pairs(ideal):
-        size = len(pair.face)
-        counts[size] = counts.get(size, 0) + 1
+    for face, count in face_counts(ideal).items():
+        counts[len(face)] = counts.get(len(face), 0) + count
     return counts
 
 

@@ -11,25 +11,34 @@ with them:
 * random integer presentations with random submodules exercise rank
   additivity (always) and torsion additivity (finite kernels), as well as
   invariance of the free rank under quotients by finite submodules;
-* random monomial ideals cross-check the standard-pair counts against the
-  saturation oracle at every face.
+* standard pairs are found by enumerating every point of the exponent box,
+  and local multiplicities by counting the box points between an ideal and
+  its saturation; random monomial ideals cross-check the cell-based
+  ``monomial.face_counts`` against the latter at every face.
 
 Sampling is driven by an explicit seed, so every report is reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import SizeBoundError
 from .monomial import (
+    BLOCK_ENTRIES,
+    Monomial,
     MonomialIdeal,
-    local_multiplicity_oracle,
+    _mask_vars,
+    face_counts,
+    face_saturation,
     minimalize,
-    standard_pairs,
+    strip_variables,
 )
 from .zmodule import (
     ZNormalForm,
@@ -42,6 +51,8 @@ from .zmodule import (
     torsion_lattice_basis,
 )
 
+# hard cap on how many box monomials a single enumeration may visit
+MAX_BOX_POINTS = 2_000_000
 MAX_GROUP_ORDER = 10_000
 _ADD_TABLE_LIMIT = 1_000  # build a full addition table only below this order
 
@@ -249,6 +260,124 @@ def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:
 
 
 # ---------------------------------------------------------------------------
+# monomial box enumeration
+
+
+@dataclass(frozen=True)
+class StandardPair:
+    """One free cell root * k[x_i : i in face] of the standard monomials."""
+
+    root: Monomial
+    face: frozenset[int]
+
+
+def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
+    if ideal.gens:
+        return np.array(ideal.gens, dtype=np.int64)
+    return np.zeros((0, ideal.n_vars), dtype=np.int64)
+
+
+def _contains_many(points: np.ndarray, ideal: MonomialIdeal) -> np.ndarray:
+    """Membership of each row of ``points`` in ``ideal`` (vectorized divisor
+    test, a block of rows at a time so memory stays bounded)."""
+    gens = _gens_array(ideal)
+    out = np.zeros(len(points), dtype=bool)
+    if not len(gens):
+        return out
+    step = max(1, BLOCK_ENTRIES // len(gens))
+    for start in range(0, len(points), step):
+        block = points[start : start + step]
+        out[start : start + step] = (
+            (block[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)
+        )
+    return out
+
+
+def _box_points(ranges: Sequence[range]) -> np.ndarray:
+    total = 1
+    for r in ranges:
+        total *= len(r)
+        if total > MAX_BOX_POINTS:
+            raise SizeBoundError(
+                f"monomial box larger than {MAX_BOX_POINTS} points; "
+                "exponents are too large for desk-scale enumeration"
+            )
+    pts = np.array(list(itertools.product(*ranges)), dtype=np.int64)
+    return pts.reshape(total, len(ranges))
+
+
+def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
+    """Local multiplicity at the prime spanned by the variables outside ``face``.
+
+    Deleting the face variables localizes them away; the multiplicity is then
+    the number of monomials (in the remaining variables) lying in the
+    saturation by all remaining variables but not in the ideal itself.  With
+    no remaining variables the saturation is by the zero ideal, i.e.
+    everything, so the count is 1 exactly for the zero ideal.  Gap monomials
+    lie below the stripped ideal's componentwise maximum d: at m_i >= d_i
+    multiplying by x_i never enters the ideal, so m is outside the
+    saturation as well.
+    """
+    face = frozenset(face)
+    if not all(0 <= i < ideal.n_vars for i in face):
+        raise ValueError("face contains an out-of-range variable index")
+    outside = [j for j in range(ideal.n_vars) if j not in face]
+    if not outside:
+        return 1 if ideal.is_zero else 0
+    stripped = strip_variables(ideal, face)
+    if stripped.is_unit:
+        return 0
+    sat = face_saturation(stripped, outside)
+    bounds = stripped.max_exponents()
+    ranges = [range(bounds[i]) if i in outside else range(1) for i in range(ideal.n_vars)]
+    points = _box_points(ranges)
+    if not len(points):
+        return 0
+    gap = _contains_many(points, sat) & ~_contains_many(points, stripped)
+    return int(gap.sum())
+
+
+def _face_masks(n: int) -> list[int]:
+    return sorted(range(1 << n), key=lambda m: (-bin(m).count("1"), m))
+
+
+def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
+    """All maximal admissible pairs, canonically ordered.
+
+    A candidate ``(root, F)`` with in-box root is maximal iff for every strict
+    superface G the truncated root (G-coordinates zeroed) lies in the ideal
+    with the G variables deleted; otherwise that truncation is an admissible
+    strictly larger pair.
+    """
+    n = ideal.n_vars
+    if ideal.is_unit:
+        return ()
+    bounds = ideal.max_exponents()
+    strips = {mask: strip_variables(ideal, _mask_vars(mask)) for mask in range(1 << n)}
+    pairs: list[StandardPair] = []
+    for mask in _face_masks(n):
+        face_vars = _mask_vars(mask)
+        ranges = [
+            range(1) if (mask >> i) & 1 else range(max(bounds[i], 1)) for i in range(n)
+        ]
+        roots = _box_points(ranges)
+        keep = ~_contains_many(roots, strips[mask])
+        if not keep.any():
+            continue
+        for sup in range(1 << n):
+            if sup == mask or (sup & mask) != mask:
+                continue
+            truncated = roots.copy()
+            truncated[:, list(_mask_vars(sup))] = 0
+            keep &= _contains_many(truncated, strips[sup])
+            if not keep.any():
+                break
+        for row in roots[keep]:
+            pairs.append(StandardPair(tuple(int(e) for e in row), frozenset(face_vars)))
+    return tuple(pairs)
+
+
+# ---------------------------------------------------------------------------
 # randomized suites
 
 
@@ -428,16 +557,15 @@ def _all_faces(n: int) -> list[frozenset[int]]:
 
 
 def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
-    """Standard-pair count per face == saturation-oracle count, for random ideals."""
+    """Engine count per face (``face_counts``, the one ``ring`` and ``module``
+    use) == saturation-oracle count, for random ideals."""
     rng = random.Random(seed)
     failures = []
     checked = 0
     for index in range(trials):
         ideal = sample_monomial_ideal(rng)
         checked += 1
-        counts: dict[frozenset[int], int] = {}
-        for pair in standard_pairs(ideal):
-            counts[pair.face] = counts.get(pair.face, 0) + 1
+        counts = face_counts(ideal)
         for face in _all_faces(ideal.n_vars):
             expected = local_multiplicity_oracle(ideal, face)
             if counts.get(face, 0) != expected:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -291,7 +292,15 @@ def is_squarefree(n: int, bound: int | None = None) -> bool:
 
 
 def is_prime(n: int, bound: int | None = None) -> bool:
-    return n >= 2 and factorize(n, bound) == {n: 1}
+    return _is_prime(n, _factor_bound(bound))
+
+
+@lru_cache(maxsize=256)
+def _is_prime(n: int, limit: int) -> bool:
+    # memoised because a GF(p) ring is checked both where its text is parsed
+    # and where its RingDescriptor is built, and trial division near 10^12
+    # takes tens of milliseconds
+    return n >= 2 and factorize(n, limit) == {n: 1}
 
 
 def length_vector_z(nf: ZNormalForm, bound: int | None = None) -> dict[int, int]:

@@ -292,3 +292,11 @@ class TestAnalyze:
         a = analyze(module(r, piece(r, gens=[(0,)])))
         assert a.dimension is None
         assert a.cb == CBResult(exact=Ordinal.zero())
+
+    def test_broken_length_identity_raises(self, monkeypatch):
+        import lenkrull.length_core as length_core
+
+        monkeypatch.setattr(length_core, "check_length_identity", lambda vector: False)
+        r = ring("GF", "x", p=2)
+        with pytest.raises(RuntimeError, match="length identity"):
+            analyze(module(r, piece(r, gens=[(2,)])))

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from lenkrull.errors import SizeBoundError
 from lenkrull.monomial import (
+    MAX_CELLS,
     MonomialIdeal,
-    StandardPair,
     face_count_vector,
+    face_counts,
     face_saturation,
     format_ideal,
     format_monomial,
     intersect,
-    local_multiplicity_oracle,
     minimalize,
     saturate_variable,
-    standard_pairs,
     strip_variables,
 )
+from lenkrull.oracles import StandardPair, local_multiplicity_oracle, standard_pairs
 
 
 @st.composite
@@ -215,6 +215,47 @@ class TestFaceCountVector:
             if _saturation_member(ideal, m, range(ideal.n_vars)) and not ideal.contains(m):
                 total += 1
         assert face_count_vector(ideal).get(0, 0) == total
+
+
+class TestFaceCounts:
+    @given(ideals(max_vars=4, max_gens=6, max_exp=5))
+    def test_matches_box_pairs_and_oracle_every_face(self, ideal):
+        counts = face_counts(ideal)
+        assert counts == face_count_vector_faces(ideal)
+        for size in range(ideal.n_vars + 1):
+            for combo in itertools.combinations(range(ideal.n_vars), size):
+                face = frozenset(combo)
+                assert counts.get(face, 0) == local_multiplicity_oracle(ideal, face)
+
+    def test_single_huge_power(self):
+        assert face_count_vector(_ideal(1, (1999999,))) == {0: 1999999}
+
+    def test_huge_corner_staircase(self):
+        a, b, c, d = 999_983, 1_000_003, 400_007, 299_993
+        ideal = _ideal(2, (a, 0), (c, d), (0, b))
+        assert face_count_vector(ideal) == {0: a * b - (a - c) * (b - d)}
+
+    def test_four_variables_past_the_box_bound(self):
+        # the box has 70*60*50*45 = 9.45M points, over MAX_BOX_POINTS
+        ideal = _ideal(
+            4, (70, 0, 0, 0), (0, 60, 0, 0), (0, 0, 50, 0), (0, 0, 0, 45), (30, 20, 10, 5)
+        )
+        assert face_count_vector(ideal) == {0: 6890000}
+
+    def test_exponents_past_int64(self):
+        e = 10**30
+        assert face_count_vector(_ideal(2, (e, 0), (0, e))) == {0: e * e}
+
+    def test_cell_limit_names_the_bound(self):
+        # 40 cut points on each of 4 axes: 41^4 = 2.83M cells over all faces
+        gens = [(i, 40 - i, 0, 0) for i in range(41)] + [(0, 0, j, 40 - j) for j in range(41)]
+        with pytest.raises(SizeBoundError, match=f"MAX_CELLS = {MAX_CELLS}"):
+            face_counts(_ideal(4, *gens))
+
+    def test_cell_limit_bounds_the_faces(self):
+        # one cell, but 2^21 faces
+        with pytest.raises(SizeBoundError, match=f"MAX_CELLS = {MAX_CELLS}"):
+            face_counts(_ideal(21, (1, 1) + (0,) * 19))
 
 
 class TestAssociatedFaces:

@@ -12,6 +12,9 @@ Subcommands:
   principal domain with infinite residue field.
 * ``verify --suite NAME --trials N --seed S``: the brute-force suites.
 
+``--output text|json`` before the subcommand (or with ``--batch``) sets the
+default rendering; one given to the subcommand or on a batch line wins.
+
 Every engine error is structured (code, message, optional character span into
 the offending argument) and never aborts a batch run.  Exit codes: 0 success,
 1 input error, 2 verification failure.
@@ -319,7 +322,8 @@ def _parse_int_option(name: str, value: str) -> int:
 # requests
 
 
-def parse_request_line(line: str) -> Request:
+def parse_request_line(line: str, output: str = "text") -> Request:
+    """One request; ``output`` is the rendering when the line sets no ``--output``."""
     try:
         tokens = shlex.split(line, comments=False)
     except ValueError as exc:
@@ -338,7 +342,6 @@ def parse_request_line(line: str) -> Request:
         ring_spec = tokens[idx]
         idx += 1
     options: list[tuple[str, str]] = []
-    output = "text"
     seen: set[str] = set()
     while idx < len(tokens):
         flag = tokens[idx]
@@ -559,10 +562,7 @@ def run_batch(path: str, default_output: str) -> tuple[int, list[str]]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            req = parse_request_line(stripped)
-            if "--output" not in stripped:
-                req = Request(req.command, req.ring_spec, req.options, default_output)
-            code, text = run_request(req)
+            code, text = run_request(parse_request_line(stripped, default_output))
         except LenkrullError as exc:
             code, text = 1, _render_error(exc, default_output)
         outputs.append(text)
@@ -577,7 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--batch", metavar="FILE", help="run one request per line of FILE")
     parser.add_argument(
-        "--output", choices=OUTPUTS, default="text", help="default rendering for --batch"
+        "--output",
+        choices=OUTPUTS,
+        default="text",
+        help="default rendering; a subcommand's or batch line's own --output wins",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -602,8 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", default=None)
     verify.add_argument("--seed", default=None)
 
+    # no default here: an absent subcommand --output keeps the top-level value
     for command in (ring, module, zmod, lp, verify):
-        command.add_argument("--output", choices=OUTPUTS, default="text")
+        command.add_argument("--output", choices=OUTPUTS, default=argparse.SUPPRESS)
     return parser
 
 

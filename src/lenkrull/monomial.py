@@ -47,6 +47,7 @@ order) so outputs are deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -75,9 +76,10 @@ class MonomialIdeal:
                 raise ValueError(f"bad exponent vector {g} for {self.n_vars} variables")
         if list(self.gens) != sorted(set(self.gens)):
             raise ValueError("generators must be sorted and duplicate-free")
-        for g in self.gens:
-            for h in self.gens:
-                if g != h and _divides(g, h):
+        # a proper divisor sorts first, so only earlier generators can dominate
+        for k, h in enumerate(self.gens):
+            for g in self.gens[:k]:
+                if _divides(g, h):
                     raise ValueError(f"generator {h} is dominated by {g}")
 
     @property
@@ -98,14 +100,18 @@ class MonomialIdeal:
 
 
 def _divides(g: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(g, m))
+    return all(map(operator.le, g, m))
 
 
 def minimalize(n_vars: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Drop every generator componentwise dominated by another."""
-    unique = {tuple(int(e) for e in g) for g in gens}
-    minimal = [g for g in unique if not any(h != g and _divides(h, g) for h in unique)]
-    return MonomialIdeal(n_vars, tuple(sorted(minimal)))
+    minimal: list[Monomial] = []
+    # a proper divisor sorts first, and a dominated generator's divisor is
+    # itself divisible by a kept one, so testing the kept ones suffices
+    for g in sorted({tuple(int(e) for e in g) for g in gens}):
+        if not any(_divides(h, g) for h in minimal):
+            minimal.append(g)
+    return MonomialIdeal(n_vars, tuple(minimal))
 
 
 def saturate_variable(ideal: MonomialIdeal, i: int) -> MonomialIdeal:

@@ -11,6 +11,8 @@ with them:
 * random integer presentations with random submodules exercise rank
   additivity (always) and torsion additivity (finite kernels), as well as
   invariance of the free rank under quotients by finite submodules;
+* integers are factored by plain trial division up to the bound, the check
+  on ``zmodule.factorize`` and its Miller-Rabin early exit;
 * standard pairs are found by enumerating every point of the exponent box,
   and local multiplicities by counting the box points between an ideal and
   its saturation; random monomial ideals cross-check the cell-based
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SizeBoundError
+from .errors import FactorBoundError, SizeBoundError
 from .monomial import (
     BLOCK_ENTRIES,
     Monomial,
@@ -257,6 +259,38 @@ def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:
             for opt in options
         ]
     return types
+
+
+# ---------------------------------------------------------------------------
+# factorization by trial division
+
+
+def factorize_by_trial_division(n: int, bound: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division up to ``bound``.
+
+    A cofactor with no prime divisor <= bound is prime whenever it is at most
+    bound**2, or below d**2 for the first divisor d left untried; beyond that
+    the factorization is refused with ``FactorBoundError``.
+    """
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d = 5
+    while d <= bound and d * d <= n:
+        for p in (d, d + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        d += 6
+    if n > 1:
+        if d * d <= n and n > bound * bound:
+            raise FactorBoundError(
+                f"cannot certify a factorization of {n}: no prime divisor up to {bound}"
+            )
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,17 @@ Pivoting is deterministic (smallest absolute value, ties by lowest
 unimodular column transform (for integer kernels) and the inverse row
 transform (for the saturated torsion sublattice), both needed to build exact
 sequences for the additivity checks.
+
+Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
+10^6 by default) with one early exit: once the divisor reaches
+``PRIME_TEST_FROM``, and again after every division past that point, the
+cofactor gets a deterministic Miller-Rabin test with the first 13 primes
+2, 3, 5, ..., 41 as bases.  No composite below ``MILLER_RABIN_LIMIT``
+(3,317,044,064,679,887,385,961,981) is a strong probable prime to all of
+them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+Math. Comp. 86, 2017), so a pass there is a proof of primality and nothing
+probabilistic reaches an answer.  Larger or composite cofactors go on with
+plain trial division.
 """
 
 from __future__ import annotations
@@ -18,13 +29,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import FactorBoundError
 
 DEFAULT_FACTOR_BOUND = 10**6
 FACTOR_BOUND_ENV = "LENKRULL_FACTOR_BOUND"
+# trial divisor (5 mod 6) from which factorize tests its cofactor for primality
+PRIME_TEST_FROM = 1001
+# the first 13 primes: a strong probable prime to all of them below the limit
+# is prime (Sorenson-Webster 2017)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 Vector = tuple[int, ...]
 
@@ -257,6 +273,16 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
 
     A cofactor with no prime divisor <= bound is prime whenever it is at most
     bound**2; beyond that the factorization is refused.
+
+    The divisors run over 2, 3 and then d, d + 2 for d = 5, 11, 17, ..., and
+    the loop stops at the first d with d > bound or d**2 > cofactor.  Once d
+    reaches ``PRIME_TEST_FROM``, a cofactor that ``_proven_prime`` certifies
+    ends the loop early with the same answer: no later divisor can divide
+    it, so the loop would have run on to d_end, the first d above bound
+    (unless d**2 passed the cofactor sooner), and then accepted the cofactor
+    exactly when it is below d_end**2.  Setting d = d_end reproduces that
+    test, so answers and refusals do not change; a prime between bound**2
+    and d_end**2 is accepted, as before.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -267,11 +293,18 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
+    untested = True
     while d <= limit and d * d <= n:
+        if untested and d >= PRIME_TEST_FROM:
+            untested = False
+            if _proven_prime(n):
+                d += 6 * ((limit - d) // 6 + 1)
+                break
         for p in (d, d + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
+                untested = True
         d += 6
     if n > 1:
         if d * d <= n and n > limit * limit:
@@ -280,6 +313,34 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
             )
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _proven_prime(n: int) -> bool:
+    """True when n is prime and below ``MILLER_RABIN_LIMIT``; False otherwise.
+
+    Strong probable-prime test to every base in ``MILLER_RABIN_BASES``, which
+    no composite below the limit passes.
+    """
+    if n < 2 or n >= MILLER_RABIN_LIMIT:
+        return False
+    for p in MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def count_prime_factors(n: int, bound: int | None = None) -> int:
@@ -298,8 +359,8 @@ def is_prime(n: int, bound: int | None = None) -> bool:
 @lru_cache(maxsize=256)
 def _is_prime(n: int, limit: int) -> bool:
     # memoised because a GF(p) ring is checked both where its text is parsed
-    # and where its RingDescriptor is built, and trial division near 10^12
-    # takes tens of milliseconds
+    # and where its RingDescriptor is built, and a p with no proven-prime
+    # cofactor is still trial-divided up to the bound
     return n >= 2 and factorize(n, limit) == {n: 1}
 
 

@@ -84,6 +84,24 @@ class TestMinimalize:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((2, 0), (2, 1)))
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple), max_size=8
+            )
+        )
+    )
+    def test_keeps_exactly_the_undominated_generators(self, gens):
+        n = len(gens[0]) if gens else 1
+        undominated = {
+            g for g in gens if not any(h != g and all(map(int.__le__, h, g)) for h in gens)
+        }
+        assert minimalize(n, gens).gens == tuple(sorted(undominated))
+
+    def test_rejects_a_generator_dominated_by_a_non_adjacent_one(self):
+        with pytest.raises(ValueError, match=r"\(1, 0, 1\) is dominated by \(0, 0, 1\)"):
+            MonomialIdeal(3, ((0, 0, 1), (0, 1, 0), (1, 0, 1)))
+
 
 class TestSaturateVariable:
     def test_example(self):

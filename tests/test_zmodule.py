@@ -1,12 +1,15 @@
 import itertools
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lenkrull.errors import FactorBoundError
+from lenkrull.oracles import factorize_by_trial_division
 from lenkrull.zmodule import (
+    MILLER_RABIN_LIMIT,
+    PRIME_TEST_FROM,
     ZNormalForm,
     ZPresentation,
     associated_primes_z,
@@ -20,6 +23,7 @@ from lenkrull.zmodule import (
     smith_normal_form,
     submodule_normal_form,
     torsion_lattice_basis,
+    _proven_prime,
 )
 
 
@@ -226,3 +230,144 @@ class TestFactorization:
         monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "10")
         with pytest.raises(FactorBoundError):
             factorize(101 * 103)
+
+
+# -- factorize against plain trial division ------------------------------------
+
+# all below the smallest bound the tests draw, so trial division removes them
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 97)
+# strong pseudoprimes to the first 4, 9 and 12 prime bases; the last one is
+# caught by base 41 alone
+SPSP_2_TO_7 = 3_215_031_751
+SPSP_2_TO_23 = 3_825_123_056_546_413_051
+SPSP_2_TO_37 = 318_665_857_834_031_151_167_461
+# the smallest strong pseudoprime to all 13 bases, the end of the proven range
+SPSP_2_TO_41 = 3_317_044_064_679_887_385_961_981
+
+
+def _outcome(factor, n, bound):
+    try:
+        return factor(n, bound)
+    except FactorBoundError as exc:
+        return ("refused", str(exc))
+
+
+def _agrees(n, bound):
+    expected = _outcome(factorize_by_trial_division, n, bound)
+    assert _outcome(factorize, n, bound) == expected
+    return expected
+
+
+def _is_prime_by_trial(m):
+    return m >= 2 and factorize_by_trial_division(m, isqrt(m)) == {m: 1}
+
+
+def _prime_near(start, step, stop):
+    """First prime from start towards stop (exclusive) in steps of +-1, or None."""
+    for m in range(start, stop, step):
+        if _is_prime_by_trial(m):
+            return m
+    return None
+
+
+def _first_divisor_above(bound):
+    """d_end: the first trial divisor 5, 11, 17, ... above bound."""
+    d = 5
+    while d <= bound:
+        d += 6
+    return d
+
+
+smooth = st.lists(st.sampled_from(SMALL_PRIMES), max_size=4).map(prod)
+
+
+class TestFactorizeAgainstTrialDivision:
+    @given(
+        n=st.integers(1, 10**13),
+        bound=st.integers(PRIME_TEST_FROM - 24, PRIME_TEST_FROM + 24),
+    )
+    def test_bounds_around_the_test_point(self, n, bound):
+        _agrees(n, bound)
+
+    @given(n=st.integers(1, 10**11), bound=st.integers(-3, 2 * 10**5))
+    def test_any_bound(self, n, bound):
+        _agrees(n, bound)
+
+    @given(
+        bound=st.integers(PRIME_TEST_FROM - 12, 30_000),
+        above=st.booleans(),
+        cofactor=smooth,
+    )
+    def test_prime_cofactor_at_the_square_of_the_first_untried_divisor(
+        self, bound, above, cofactor
+    ):
+        d_end = _first_divisor_above(bound)
+        if above:
+            m = _prime_near(d_end * d_end, 1, (d_end + 1) ** 2)
+        else:
+            m = _prime_near(d_end * d_end - 1, -1, bound * bound)
+        if m is None:
+            return
+        expected = _agrees(cofactor * m, bound)
+        assert isinstance(expected, tuple) == above
+
+    def test_accepts_a_prime_between_the_squares_of_bound_and_d_end(self):
+        bound = 1003  # d_end = 1007
+        m = _prime_near(1007**2 - 1, -1, bound * bound)
+        assert bound**2 < m < 1007**2
+        assert factorize(m, bound) == {m: 1}
+        with pytest.raises(FactorBoundError):
+            factorize(_prime_near(1007**2, 1, 1008**2), bound)
+
+    @given(
+        q=st.integers(PRIME_TEST_FROM, 5_000),
+        target=st.integers(10**6, 10**10),
+        cofactor=smooth,
+        bound=st.sampled_from([PRIME_TEST_FROM, 10_007, 10**5, 10**6]),
+    )
+    def test_composite_after_the_test_point(self, q, target, cofactor, bound):
+        q = _prime_near(q, 1, 10**4)
+        p = _prime_near(target, 1, 2 * target)
+        _agrees(cofactor * q * p, bound)
+        _agrees(cofactor * q * q, bound)
+        _agrees(q * p * p, bound)
+
+    def test_composite_after_the_test_point_examples(self):
+        p = 999_999_000_001  # prime
+        assert factorize(1009 * p) == {1009: 1, p: 1}
+        assert factorize(1009 * 1013 * p) == {1009: 1, 1013: 1, p: 1}
+        assert factorize(1013**2) == {1013: 2}
+        assert factorize(SPSP_2_TO_7) == {151: 1, 751: 1, 28351: 1}
+
+    @given(
+        n=st.one_of(
+            st.integers(MILLER_RABIN_LIMIT, 10**30),
+            smooth.map(lambda c: c * SPSP_2_TO_41),
+            smooth.map(lambda c: 1009 * c * SPSP_2_TO_37),
+        ),
+        bound=st.integers(1, 5_000),
+    )
+    def test_beyond_the_proven_range_with_a_small_bound(self, n, bound):
+        _agrees(n, bound)
+
+
+class TestProvenPrime:
+    def test_agrees_with_a_sieve(self):
+        limit = 10**5
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for i in range(2, isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if _proven_prime(n)] == [
+            n for n in range(limit) if sieve[n]
+        ]
+
+    def test_rejects_strong_pseudoprimes(self):
+        for n in (SPSP_2_TO_7, SPSP_2_TO_23, SPSP_2_TO_37):
+            assert not _proven_prime(n)
+
+    def test_nothing_proven_beyond_the_range(self):
+        assert SPSP_2_TO_41 == MILLER_RABIN_LIMIT
+        assert not _proven_prime(SPSP_2_TO_41)
+        assert _proven_prime(999_999_000_001)

@@ -16,8 +16,11 @@ Subcommands:
 default rendering; one given to the subcommand or on a batch line wins.
 
 Every engine error is structured (code, message, optional character span into
-the offending argument) and never aborts a batch run.  Exit codes: 0 success,
-1 input error, 2 verification failure.
+the offending argument) and never aborts a batch run.  Exit codes, the same for
+a request given as arguments and for a batch run: 0 success, 1 input error,
+2 verification failure.  Only a command line that argparse cannot read (an
+unknown command or option, a missing ring, a bad ``--output``) exits 2 with a
+usage message.
 """
 
 from __future__ import annotations
@@ -38,20 +41,48 @@ from .length_core import (
     ModuleDescriptor,
     RingDescriptor,
     analyze,
+    krull_dimension,
+    length,
+    reduced_length,
 )
-from .monomial import MonomialIdeal, minimalize
+from .monomial import minimalize
+from .scan import Scanner
 from .zmodule import ZPresentation, is_prime, is_squarefree
 
 OUTPUTS = ("text", "json")
 SUITES = ("caractl", "additivity", "sigmaprime", "oracle-equivalence", "all")
 
-# command -> (takes a positional ring spec, allowed option keys)
-_COMMANDS: dict[str, tuple[bool, tuple[str, ...]]] = {
-    "ring": (True, ("ideal",)),
-    "module": (True, ("pieces",)),
-    "zmodule": (False, ("matrix", "generators")),
-    "localpid": (False, ("free", "torsion")),
-    "verify": (False, ("suite", "trials", "seed")),
+_RING_HELP = 'e.g. "Z[x,y]" or "GF(2)[x]"'
+
+# The one request schema, read by the batch-line parser and by argparse alike:
+# command -> (help, ring positional help or None for no ring, option -> help).
+# Option values stay strings until the ``_run_*`` functions check them, so a
+# request is validated the same way from argv and from a batch line.
+_COMMANDS: dict[str, tuple[str, str | None, dict[str, str | None]]] = {
+    "ring": ("a marked ring modulo an ideal", _RING_HELP, {"ideal": 'e.g. "x^2, x*y" or "6, x^2"'}),
+    "module": (
+        "a finite direct sum of cyclic pieces",
+        _RING_HELP,
+        {"pieces": 'required, e.g. "(x^2) (+) (6, x)"'},
+    ),
+    "zmodule": (
+        "an integer presentation matrix",
+        None,
+        {
+            "matrix": 'JSON relation columns, e.g. "[[2,0],[0,0]]"',
+            "generators": "generator count for empty matrices",
+        },
+    ),
+    "localpid": (
+        "closed forms over a symbolic local PID",
+        None,
+        {"free": "free rank", "torsion": 'e.g. "1:2,3:1"'},
+    ),
+    "verify": (
+        "run the brute-force verification suites",
+        None,
+        {"suite": "one of " + ", ".join(SUITES), "trials": None, "seed": None},
+    ),
 }
 
 LOCAL_PID_RING_LABEL = "local PID with infinite residue field"
@@ -65,70 +96,9 @@ class Request:
     output: str = "text"
 
 
-# ---------------------------------------------------------------------------
-# scanners for the small grammars
-
-
-class _Scan:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, start: int | None = None):
-        at = self.pos if start is None else start
-        raise ParseError(f"{message} at position {at}", (at, at + 1))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def try_lit(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def expect_lit(self, lit: str):
-        if not self.try_lit(lit):
-            self.error(f"expected {lit!r}")
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a natural number")
-        return int(self.text[start : self.pos])
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-        if start == self.pos:
-            self.error("expected an identifier")
-        return self.text[start : self.pos]
-
-
 def parse_ring(text: str) -> RingDescriptor:
     """``Z | Q | GF(p)`` optionally followed by ``[var, var, ...]``."""
-    sc = _Scan(text)
+    sc = Scanner(text)
     if sc.try_lit("GF"):
         sc.expect_lit("(")
         p_start = sc.pos
@@ -159,7 +129,7 @@ def parse_ring(text: str) -> RingDescriptor:
     return RingDescriptor(base, char, tuple(names))
 
 
-def _parse_monomial(sc: _Scan, ring: RingDescriptor) -> tuple[int, ...]:
+def _parse_monomial(sc: Scanner, ring: RingDescriptor) -> tuple[int, ...]:
     exps = [0] * len(ring.vars)
     index = {name: i for i, name in enumerate(ring.vars)}
     while True:
@@ -180,7 +150,7 @@ def _parse_monomial(sc: _Scan, ring: RingDescriptor) -> tuple[int, ...]:
             return tuple(exps)
 
 
-def _at_unit_monomial(sc: _Scan) -> bool:
+def _at_unit_monomial(sc: Scanner) -> bool:
     """True when the next token is the single digit 1 (the unit monomial)."""
     sc.skip_ws()
     if sc.pos >= len(sc.text) or sc.text[sc.pos] != "1":
@@ -189,7 +159,7 @@ def _at_unit_monomial(sc: _Scan) -> bool:
     return nxt >= len(sc.text) or not sc.text[nxt].isdigit()
 
 
-def _parse_gens(sc: _Scan, ring: RingDescriptor, stop: str) -> CyclicPiece:
+def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
     """Comma-separated generators: monomials and at most one integer, in any order.
 
     The bare digit 1 reads as the unit monomial (valid over every base and
@@ -231,7 +201,7 @@ def _parse_gens(sc: _Scan, ring: RingDescriptor, stop: str) -> CyclicPiece:
 
 
 def parse_ideal(ring: RingDescriptor, text: str) -> CyclicPiece:
-    sc = _Scan(text)
+    sc = Scanner(text)
     piece = _parse_gens(sc, ring, stop="")
     if not sc.eof():
         sc.error("unexpected trailing input")
@@ -240,7 +210,7 @@ def parse_ideal(ring: RingDescriptor, text: str) -> CyclicPiece:
 
 def parse_module(ring: RingDescriptor, text: str) -> ModuleDescriptor:
     """Pieces ``( gens )`` separated by ``(+)``."""
-    sc = _Scan(text)
+    sc = Scanner(text)
     pieces = []
     while True:
         sc.expect_lit("(")
@@ -253,7 +223,7 @@ def parse_module(ring: RingDescriptor, text: str) -> ModuleDescriptor:
 
 
 def parse_torsion(text: str) -> dict[int, int]:
-    sc = _Scan(text)
+    sc = Scanner(text)
     torsion: dict[int, int] = {}
     if sc.eof():
         return torsion
@@ -333,10 +303,10 @@ def parse_request_line(line: str, output: str = "text") -> Request:
     command = tokens[0]
     if command not in _COMMANDS:
         raise ParseError(f"unknown command {command!r}")
-    takes_ring, allowed = _COMMANDS[command]
+    _, ring_help, allowed = _COMMANDS[command]
     idx = 1
     ring_spec = ""
-    if takes_ring:
+    if ring_help is not None:
         if idx >= len(tokens) or tokens[idx].startswith("--"):
             raise ParseError(f"{command} needs a ring argument")
         ring_spec = tokens[idx]
@@ -369,7 +339,7 @@ def parse_request_line(line: str, output: str = "text") -> Request:
 
 def format_request(req: Request) -> str:
     tokens = [req.command]
-    if _COMMANDS[req.command][0]:
+    if _COMMANDS[req.command][1] is not None:
         tokens.append(shlex.quote(req.ring_spec))
     for key, value in req.options:
         tokens.extend((f"--{key}", shlex.quote(value)))
@@ -399,11 +369,6 @@ def _analysis_payload(analysis: ModuleAnalysis) -> dict:
     }
 
 
-def _render_vector(counts: tuple[tuple[int, int], ...]) -> str:
-    inner = ", ".join(f"{a}: {c}" for a, c in sorted(counts, reverse=True))
-    return "{" + inner + "}"
-
-
 def _render_analysis_text(payload: dict) -> str:
     cb = payload["cb_rank"]
     cb_text = (
@@ -427,12 +392,8 @@ def _render_analysis_text(payload: dict) -> str:
     )
 
 
-def _options_dict(req: Request) -> dict[str, str]:
-    return dict(req.options)
-
-
 def _run_analysis(req: Request) -> dict:
-    opts = _options_dict(req)
+    opts = dict(req.options)
     if req.command == "ring":
         ring = parse_ring(req.ring_spec)
         piece = parse_ideal(ring, opts.get("ideal", ""))
@@ -442,47 +403,42 @@ def _run_analysis(req: Request) -> dict:
         if "pieces" not in opts:
             raise ParseError("module needs --pieces")
         module = parse_module(ring, opts["pieces"])
-    else:  # zmodule
+    elif req.command == "zmodule":
         if "matrix" not in opts and "generators" not in opts:
             raise ParseError("zmodule needs --matrix (or --generators for a free module)")
         pres = parse_presentation(opts.get("matrix", "[]"), opts.get("generators"))
         module = ModuleDescriptor(RingDescriptor("Z"), presentation=pres)
+    else:
+        raise ParseError(f"unknown command {req.command!r}")
     return _analysis_payload(analyze(module))
 
 
 def _run_localpid(req: Request) -> dict:
-    opts = _options_dict(req)
+    opts = dict(req.options)
     free = _parse_int_option("free", opts.get("free", "0"))
     if free < 0:
         raise ParseError("--free must be non-negative")
     torsion = parse_torsion(opts.get("torsion", ""))
     module = localpid_mod.LocalPIDModule.from_mapping(free, torsion)
-    ell, reduced = localpid_mod.lengths_local_pid(module)
-    cb = localpid_mod.cb_rank_local_pid(module)
     vector = localpid_mod.length_vector_local_pid(module)
-    if vector.is_zero:
-        dimension = None
-    else:
-        dimension = vector.counts[-1][0]
-    parts = []
-    if free:
-        parts.append(f"A^{free}")
+    parts = [f"A^{free}"] if free else []
     for i, n in module.torsion:
         base = "A/I" if i == 1 else f"A/I^{i}"
         parts.append(f"({base})^{n}" if n > 1 else base)
-    return {
-        "ring": LOCAL_PID_RING_LABEL,
-        "module": " (+) ".join(parts) if parts else "0",
-        "length_vector": {str(a): c for a, c in vector.counts},
-        "length": str(ell),
-        "reduced_length": str(reduced),
-        "cb_rank": {"exact": str(cb)},
-        "dimension": dimension,
-    }
+    analysis = ModuleAnalysis(
+        ring=LOCAL_PID_RING_LABEL,
+        module=" (+) ".join(parts) if parts else "0",
+        vector=vector,
+        length=length(vector),
+        reduced_length=reduced_length(vector),
+        cb=CBResult(exact=localpid_mod.cb_rank_local_pid(module)),
+        dimension=None if vector.is_zero else krull_dimension(vector),
+    )
+    return _analysis_payload(analysis)
 
 
 def _run_verify(req: Request) -> tuple[int, dict]:
-    opts = _options_dict(req)
+    opts = dict(req.options)
     suite = opts.get("suite", "all")
     if suite not in SUITES:
         raise ParseError(f"--suite must be one of {SUITES}")
@@ -490,7 +446,7 @@ def _run_verify(req: Request) -> tuple[int, dict]:
     seed = _parse_int_option("seed", opts.get("seed", "0"))
     if trials < 0:
         raise ParseError("--trials must be non-negative")
-    names = ["caractl", "additivity", "sigmaprime", "oracle-equivalence"] if suite == "all" else [suite]
+    names = SUITES[:-1] if suite == "all" else (suite,)
     reports = []
     for name in names:
         if name == "caractl":
@@ -531,24 +487,17 @@ def _render_error(exc: LenkrullError, output: str) -> str:
 def run_request(req: Request) -> tuple[int, str]:
     """Execute one request; returns (exit code, rendered output)."""
     try:
-        if req.command in ("ring", "module", "zmodule"):
-            payload = _run_analysis(req)
-            code = 0
-            text = _render_analysis_text(payload)
-        elif req.command == "localpid":
-            payload = _run_localpid(req)
-            code = 0
-            text = _render_analysis_text(payload)
-        elif req.command == "verify":
+        if req.command == "verify":
             code, payload = _run_verify(req)
-            text = _render_verify_text(payload)
+            render = _render_verify_text
         else:
-            raise ParseError(f"unknown command {req.command!r}")
+            run = _run_localpid if req.command == "localpid" else _run_analysis
+            code, payload, render = 0, run(req), _render_analysis_text
     except LenkrullError as exc:
         return 1, _render_error(exc, req.output)
     if req.output == "json":
         return code, json.dumps(payload, sort_keys=True)
-    return code, text
+    return code, render(payload)
 
 
 def run_batch(path: str, default_output: str) -> tuple[int, list[str]]:
@@ -583,47 +532,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="default rendering; a subcommand's or batch line's own --output wins",
     )
     sub = parser.add_subparsers(dest="command")
-
-    ring = sub.add_parser("ring", help="a marked ring modulo an ideal")
-    ring.add_argument("ring_spec", help='e.g. "Z[x,y]" or "GF(2)[x]"')
-    ring.add_argument("--ideal", default=None, help='e.g. "x^2, x*y" or "6, x^2"')
-
-    module = sub.add_parser("module", help="a finite direct sum of cyclic pieces")
-    module.add_argument("ring_spec")
-    module.add_argument("--pieces", required=True, help='e.g. "(x^2) (+) (6, x)"')
-
-    zmod = sub.add_parser("zmodule", help="an integer presentation matrix")
-    zmod.add_argument("--matrix", default=None, help='JSON relation columns, e.g. "[[2,0],[0,0]]"')
-    zmod.add_argument("--generators", default=None, help="generator count for empty matrices")
-
-    lp = sub.add_parser("localpid", help="closed forms over a symbolic local PID")
-    lp.add_argument("--free", default=None, help="free rank")
-    lp.add_argument("--torsion", default=None, help='e.g. "1:2,3:1"')
-
-    verify = sub.add_parser("verify", help="run the brute-force verification suites")
-    verify.add_argument("--suite", default=None, choices=SUITES)
-    verify.add_argument("--trials", default=None)
-    verify.add_argument("--seed", default=None)
-
-    # no default here: an absent subcommand --output keeps the top-level value
-    for command in (ring, module, zmod, lp, verify):
+    for name, (help_text, ring_help, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if ring_help is not None:
+            command.add_argument("ring_spec", help=ring_help)
+        for key, option_help in options.items():
+            command.add_argument(f"--{key}", help=option_help)
+        # no default here: an absent subcommand --output keeps the top-level value
         command.add_argument("--output", choices=OUTPUTS, default=argparse.SUPPRESS)
     return parser
 
 
 def _request_from_args(args: argparse.Namespace) -> Request:
-    _, allowed = _COMMANDS[args.command]
     options = tuple(
-        (key, str(getattr(args, key.replace("-", "_"))))
-        for key in allowed
-        if getattr(args, key.replace("-", "_"), None) is not None
+        (key, getattr(args, key))
+        for key in _COMMANDS[args.command][2]
+        if getattr(args, key) is not None
     )
-    return Request(
-        args.command,
-        getattr(args, "ring_spec", ""),
-        options,
-        args.output,
-    )
+    return Request(args.command, getattr(args, "ring_spec", ""), options, args.output)
 
 
 def main(argv: list[str] | None = None) -> int:

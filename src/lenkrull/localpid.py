@@ -15,14 +15,8 @@ in every nonzero submodule.  These ranks are exact even though the
 reduced-length theorem does not apply to such rings (the residue field is
 infinite, so simple modules are infinite).
 
-Two readings of "reduced length" collide for these modules.  The closed form
-returned by ``lengths_local_pid`` is L, the torsion length.  Applying the
-coheight-shift definition to the module's actual length vector {1: r, 0: L}
-(exposed as ``length_vector_local_pid``) gives r instead; for rank 0 that is
-the 0 appearing in the strict sandwich gap example (two copies of a simple
-module have shifted reduced length 0 but CB-rank 1).  Both values are
-available; the documented discrepancy is left as-is rather than silently
-reconciled.
+The reduced length is the coheight shift of the length vector {1: r, 0: L},
+that is r, as for every other module in this package.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .length_core import LengthVector
+from .length_core import LengthVector, length, reduced_length
 from .ordinal import Ordinal
 
 
@@ -88,12 +82,9 @@ def cb_rank_local_pid(module: LocalPIDModule) -> Ordinal:
 
 
 def lengths_local_pid(module: LocalPIDModule) -> tuple[Ordinal, Ordinal]:
-    """(length, reduced length) closed forms: (w*rank + L, L)."""
-    L = torsion_length(module.torsion_dict())
-    return (
-        Ordinal.from_length_vector({1: module.free_rank, 0: L}),
-        Ordinal.from_int(L),
-    )
+    """(length, reduced length) of the length vector: (w*rank + L, rank)."""
+    vector = length_vector_local_pid(module)
+    return length(vector), reduced_length(vector)
 
 
 def length_vector_local_pid(module: LocalPIDModule) -> LengthVector:

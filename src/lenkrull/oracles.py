@@ -437,14 +437,6 @@ class VerifyReport:
             "ok": self.ok,
         }
 
-    def text_lines(self) -> list[str]:
-        head = (
-            f"suite {self.suite}: trials={self.trials} seed={self.seed} "
-            f"checked={self.checked} failures={len(self.failures)} "
-            f"{'ok' if self.ok else 'FAIL'}"
-        )
-        return [head] + [f"  FAIL {f}" for f in self.failures]
-
 
 @dataclass(frozen=True)
 class AdditivityTrial:

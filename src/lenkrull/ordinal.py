@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError
+from .scan import Scanner
 
 Term = tuple[int, int]
 
@@ -162,68 +163,9 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((1, 1),))
 
 
-def from_length_vector(vec: Mapping[int, int]) -> Ordinal:
-    return Ordinal.from_length_vector(vec)
-
-
-def add(a: Ordinal, b: Ordinal) -> Ordinal:
-    return a.add(b)
-
-
-def left_mul_omega(a: Ordinal) -> Ordinal:
-    return a.left_mul_omega()
-
-
-def saturating_pred(a: Ordinal) -> Ordinal:
-    return a.saturating_pred()
-
-
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1 / 0 / +1 for a <, ==, > b; term tuples compare lexicographically."""
-    if a.terms == b.terms:
-        return 0
-    return -1 if a.terms < b.terms else 1
-
-
-def format_ordinal(a: Ordinal) -> str:
-    return str(a)
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def try_char(self, ch: str) -> bool:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError(
-                f"expected a natural number at position {start}", (start, start + 1)
-            )
-        return int(self.text[start : self.pos])
-
-
 def parse(text: str) -> Ordinal:
     """Parse ``"0" | term (" + " term)*`` with ``term := w[^nat][*nat] | nat``."""
-    sc = _Scanner(text)
+    sc = Scanner(text)
     if sc.eof():
         raise ParseError("empty ordinal string", (0, max(len(text), 1)))
     total = ZERO
@@ -231,19 +173,14 @@ def parse(text: str) -> Ordinal:
         total = total.add(_parse_term(sc))
         if sc.eof():
             return total
-        if not sc.try_char("+"):
-            raise ParseError(
-                f"expected '+' or end of input at position {sc.pos}",
-                (sc.pos, sc.pos + 1),
-            )
+        if not sc.try_lit("+"):
+            sc.error("expected '+' or end of input")
 
 
-def _parse_term(sc: _Scanner) -> Ordinal:
-    sc.skip_ws()
-    if sc.pos < len(sc.text) and sc.text[sc.pos] == "w":
-        sc.pos += 1
-        exponent = sc.nat() if sc.try_char("^") else 1
-        coefficient = sc.nat() if sc.try_char("*") else 1
+def _parse_term(sc: Scanner) -> Ordinal:
+    if sc.try_lit("w"):
+        exponent = sc.nat() if sc.try_lit("^") else 1
+        coefficient = sc.nat() if sc.try_lit("*") else 1
         if coefficient == 0:
             return ZERO
         return Ordinal(((exponent, coefficient),))

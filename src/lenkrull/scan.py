@@ -1,0 +1,66 @@
+"""Character scanner shared by the small grammars (rings, ideals, ordinals, ...).
+
+Whitespace between tokens is skipped; every error is a ``ParseError`` whose
+message ends in ``at position N`` and whose span is ``(N, N + 1)``.
+"""
+
+from __future__ import annotations
+
+from .errors import ParseError
+
+
+class Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str, start: int | None = None):
+        at = self.pos if start is None else start
+        raise ParseError(f"{message} at position {at}", (at, at + 1))
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def eof(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def try_lit(self, lit: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(lit, self.pos):
+            self.pos += len(lit)
+            return True
+        return False
+
+    def expect_lit(self, lit: str):
+        if not self.try_lit(lit):
+            self.error(f"expected {lit!r}")
+
+    def nat(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a natural number")
+        return int(self.text[start : self.pos])
+
+    def ident(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and (
+            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            ):
+                self.pos += 1
+        if start == self.pos:
+            self.error("expected an identifier")
+        return self.text[start : self.pos]

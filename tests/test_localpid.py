@@ -80,16 +80,16 @@ class TestCBRank:
 
 class TestLengths:
     def test_examples(self):
-        assert lengths_local_pid(mod(2)) == (ordinal("w*2"), Ordinal.zero())
-        assert lengths_local_pid(mod(0, {1: 2})) == (ordinal("2"), ordinal("2"))
+        assert lengths_local_pid(mod(2)) == (ordinal("w*2"), ordinal("2"))
+        assert lengths_local_pid(mod(0, {1: 2})) == (ordinal("2"), Ordinal.zero())
         assert lengths_local_pid(mod(0)) == (Ordinal.zero(), Ordinal.zero())
 
-    def test_closed_form_reduced_length_differs_from_shifted_vector(self):
-        # the two documented readings: closed form gives the torsion length,
-        # the coheight shift of the actual length vector gives the free rank
+    def test_reduced_length_agrees_with_shifted_vector(self):
+        # one reading of reduced length: the coheight shift of the length
+        # vector, not the torsion length (two simple summands: 0, not 2)
         m = mod(0, {1: 2})
-        _, closed_form = lengths_local_pid(m)
-        assert closed_form == ordinal("2")
+        _, reduced = lengths_local_pid(m)
+        assert reduced == Ordinal.zero()
         assert reduced_length(length_vector_local_pid(m)) == Ordinal.zero()
 
     def test_shifted_vector_reduced_length_is_free_rank(self):
@@ -105,10 +105,11 @@ class TestSandwich:
             for torsion in torsions:
                 m = mod(free, torsion)
                 cb = cb_rank_local_pid(m)
-                ell, _ = lengths_local_pid(m)
+                ell, reduced = lengths_local_pid(m)
                 # the lower bound is the coheight-shifted reduced length; the
-                # closed-form L is no lower bound (A/I^3 has L = 3, CB-rank 0)
-                assert reduced_length(length_vector_local_pid(m)) <= cb <= ell
+                # torsion length L is no lower bound (A/I^3 has L = 3, CB-rank 0)
+                assert reduced == reduced_length(length_vector_local_pid(m))
+                assert reduced <= cb <= ell
                 if ell.is_successor:
                     assert cb <= ell.saturating_pred()
 

@@ -5,17 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lenkrull.errors import ParseError
-from lenkrull.ordinal import (
-    OMEGA,
-    ZERO,
-    Ordinal,
-    add,
-    compare,
-    from_length_vector,
-    left_mul_omega,
-    parse,
-    saturating_pred,
-)
+from lenkrull.ordinal import OMEGA, ZERO, Ordinal, parse
 
 
 def ordinals(max_exp: int = 3, max_coeff: int = 3):
@@ -28,15 +18,15 @@ def ordinals(max_exp: int = 3, max_coeff: int = 3):
 def _box(max_exp: int, max_coeff: int) -> list[Ordinal]:
     out = []
     for coeffs in itertools.product(range(max_coeff + 1), repeat=max_exp + 1):
-        out.append(from_length_vector({e: c for e, c in enumerate(coeffs)}))
+        out.append(Ordinal.from_length_vector({e: c for e, c in enumerate(coeffs)}))
     return out
 
 
 class TestConstruction:
     def test_from_length_vector_examples(self):
-        assert str(from_length_vector({2: 1, 0: 3})) == "w^2 + 3"
-        assert from_length_vector({}) == ZERO
-        assert from_length_vector({1: 1, 0: 1}).terms == ((1, 1), (0, 1))
+        assert str(Ordinal.from_length_vector({2: 1, 0: 3})) == "w^2 + 3"
+        assert Ordinal.from_length_vector({}) == ZERO
+        assert Ordinal.from_length_vector({1: 1, 0: 1}).terms == ((1, 1), (0, 1))
 
     def test_canonical_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -47,56 +37,56 @@ class TestConstruction:
             Ordinal(((-1, 1),))
 
     def test_json_round_trip(self):
-        a = from_length_vector({3: 2, 1: 1, 0: 5})
+        a = Ordinal.from_length_vector({3: 2, 1: 1, 0: 5})
         assert a.to_json() == [[3, 2], [1, 1], [0, 5]]
         assert Ordinal.from_json(a.to_json()) == a
 
 
 class TestAdd:
     def test_absorption(self):
-        assert add(OMEGA, from_length_vector({2: 1})) == from_length_vector({2: 1})
+        assert OMEGA + Ordinal.from_length_vector({2: 1}) == Ordinal.from_length_vector({2: 1})
 
     def test_mixed(self):
-        a = from_length_vector({2: 1, 1: 1})
-        b = from_length_vector({1: 1, 0: 1})
-        assert add(a, b) == from_length_vector({2: 1, 1: 2, 0: 1})
+        a = Ordinal.from_length_vector({2: 1, 1: 1})
+        b = Ordinal.from_length_vector({1: 1, 0: 1})
+        assert a + b == Ordinal.from_length_vector({2: 1, 1: 2, 0: 1})
 
     def test_exhaustive_identity(self):
         for a in _box(3, 3):
-            assert add(ZERO, a) == a
-            assert add(a, ZERO) == a
+            assert ZERO + a == a
+            assert a + ZERO == a
 
     def test_exhaustive_associativity_small_box(self):
         box = _box(2, 2)
         for a in box:
             for b in box:
-                ab = add(a, b)
+                ab = a + b
                 for c in box:
-                    assert add(ab, c) == add(a, add(b, c))
+                    assert ab + c == a + (b + c)
 
     @given(ordinals(), ordinals(), ordinals())
     def test_associativity_sampled(self, a, b, c):
-        assert add(add(a, b), c) == add(a, add(b, c))
+        assert (a + b) + c == a + (b + c)
 
     @given(ordinals(), ordinals())
     def test_strictly_increasing_in_right_argument(self, a, b):
         if b.is_zero:
-            assert add(a, b) == a
+            assert a + b == a
         else:
-            assert a < add(a, b)
+            assert a < a + b
 
 
 class TestOrder:
     def test_examples(self):
-        assert compare(from_length_vector({2: 1}), from_length_vector({1: 5, 0: 3})) == 1
-        assert compare(ZERO, ZERO) == 0
-        assert compare(OMEGA, from_length_vector({1: 1, 0: 1})) == -1
+        assert Ordinal.from_length_vector({2: 1}) > Ordinal.from_length_vector({1: 5, 0: 3})
+        assert ZERO == ZERO and not ZERO < ZERO
+        assert OMEGA < Ordinal.from_length_vector({1: 1, 0: 1})
 
     @given(ordinals(), ordinals())
     def test_trichotomy(self, a, b):
-        assert (compare(a, b) == 0) == (a == b)
-        assert (compare(a, b) == -1) == (a < b)
-        assert (compare(a, b) == 1) == (a > b)
+        assert [a < b, a == b, a > b].count(True) == 1
+        assert (a <= b) == (a < b or a == b)
+        assert (a >= b) == (a > b or a == b)
 
     @given(ordinals(), ordinals(), ordinals())
     def test_transitivity(self, a, b, c):
@@ -106,19 +96,18 @@ class TestOrder:
 
 class TestLeftMulOmega:
     def test_examples(self):
-        assert left_mul_omega(from_length_vector({2: 3, 0: 5})) == from_length_vector(
-            {3: 3, 1: 5}
-        )
-        assert left_mul_omega(ZERO) == ZERO
-        assert left_mul_omega(Ordinal.from_int(4)) == from_length_vector({1: 4})
+        a = Ordinal.from_length_vector({2: 3, 0: 5})
+        assert a.left_mul_omega() == Ordinal.from_length_vector({3: 3, 1: 5})
+        assert ZERO.left_mul_omega() == ZERO
+        assert Ordinal.from_int(4).left_mul_omega() == Ordinal.from_length_vector({1: 4})
 
     @given(ordinals())
     def test_kills_finite_part(self, a):
-        assert left_mul_omega(a).finite_part == 0
+        assert a.left_mul_omega().finite_part == 0
 
     @given(ordinals(), st.integers(0, 5))
     def test_reconstructs_trailing_finite_part(self, a, n):
-        rebuilt = add(left_mul_omega(a), Ordinal.from_int(n))
+        rebuilt = a.left_mul_omega() + Ordinal.from_int(n)
         shifted = tuple((e + 1, c) for e, c in a.terms)
         expected = shifted + (((0, n),) if n else ())
         assert rebuilt.terms == expected
@@ -126,25 +115,25 @@ class TestLeftMulOmega:
 
 class TestSaturatingPred:
     def test_examples(self):
-        assert saturating_pred(from_length_vector({1: 1, 0: 1})) == OMEGA
-        assert saturating_pred(OMEGA) == OMEGA
-        assert saturating_pred(Ordinal.from_int(5)) == Ordinal.from_int(4)
-        assert saturating_pred(ZERO) == ZERO
+        assert Ordinal.from_length_vector({1: 1, 0: 1}).saturating_pred() == OMEGA
+        assert OMEGA.saturating_pred() == OMEGA
+        assert Ordinal.from_int(5).saturating_pred() == Ordinal.from_int(4)
+        assert ZERO.saturating_pred() == ZERO
 
     @given(ordinals())
     def test_undoes_adding_one(self, a):
-        assert saturating_pred(add(a, Ordinal.from_int(1))) == a
+        assert (a + Ordinal.from_int(1)).saturating_pred() == a
 
 
 class TestParseFormat:
     def test_examples(self):
         assert parse("w^2*3 + w + 4").terms == ((2, 3), (1, 1), (0, 4))
-        assert str(from_length_vector({3: 1})) == "w^3"
+        assert str(Ordinal.from_length_vector({3: 1})) == "w^3"
         assert parse("0") == ZERO
-        assert parse("w*2") == from_length_vector({1: 2})
+        assert parse("w*2") == Ordinal.from_length_vector({1: 2})
 
     def test_non_canonical_order_is_summed(self):
-        assert parse("w + w^2") == from_length_vector({2: 1})
+        assert parse("w + w^2") == Ordinal.from_length_vector({2: 1})
 
     @given(ordinals(max_exp=5, max_coeff=9))
     def test_round_trip(self, a):

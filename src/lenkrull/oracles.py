@@ -270,8 +270,11 @@ def factorize_by_trial_division(n: int, bound: int) -> dict[int, int]:
 
     A cofactor with no prime divisor <= bound is prime whenever it is at most
     bound**2, or below d**2 for the first divisor d left untried; beyond that
-    the factorization is refused with ``FactorBoundError``.
+    the factorization is refused with ``FactorBoundError``, as is a negative
+    bound.
     """
+    if bound < 0:
+        raise FactorBoundError(f"factor bound {bound} is negative")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -262,10 +262,24 @@ def lambda_z(nf: ZNormalForm) -> ZNormalForm:
 
 
 def _factor_bound(bound: int | None) -> int:
-    if bound is not None:
-        return bound
-    raw = os.environ.get(FACTOR_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_FACTOR_BOUND
+    """The trial-division bound: ``bound``, else the environment, else the default.
+
+    A negative or non-integer bound is refused before any work: a negative one
+    would try no divisor past 3 and accept composite cofactors as prime.
+    """
+    if bound is None:
+        raw = os.environ.get(FACTOR_BOUND_ENV)
+        if not raw:
+            return DEFAULT_FACTOR_BOUND
+        try:
+            bound = int(raw)
+        except ValueError:
+            bound = -1
+        if bound < 0:
+            raise FactorBoundError(f"{FACTOR_BOUND_ENV}={raw!r} is not a non-negative integer")
+    elif bound < 0:
+        raise FactorBoundError(f"factor bound {bound} is negative")
+    return bound
 
 
 def factorize(n: int, bound: int | None = None) -> dict[int, int]:

@@ -59,6 +59,15 @@ def test_gf_ring_factorizes_its_characteristic_once(monkeypatch):
     assert calls.count(p) == 1
 
 
+def test_negative_factor_bound_is_refused(monkeypatch):
+    monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "-10")
+    code, text = run("zmodule --matrix '[[91]]'")
+    assert (code, text) == (
+        1,
+        "error[factor-bound]: LENKRULL_FACTOR_BOUND='-10' is not a non-negative integer",
+    )
+
+
 def test_verify_oracle_equivalence_suite():
     code, text = run("verify --suite oracle-equivalence --trials 20 --output json")
     assert code == 0

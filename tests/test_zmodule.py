@@ -15,6 +15,7 @@ from lenkrull.zmodule import (
     associated_primes_z,
     count_prime_factors,
     factorize,
+    is_prime,
     is_squarefree,
     kernel_columns,
     lambda_z,
@@ -230,6 +231,29 @@ class TestFactorization:
         monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "10")
         with pytest.raises(FactorBoundError):
             factorize(101 * 103)
+
+    def test_negative_bound_refused_up_front(self):
+        # a negative bound once tried no divisor past 3 and called 91 prime
+        for factor in (factorize, factorize_by_trial_division):
+            with pytest.raises(FactorBoundError, match=r"^factor bound -10 is negative$"):
+                factor(91, -10)
+
+    @pytest.mark.parametrize("raw", ["-10", "abc", "1e6"])
+    def test_bad_env_bound_refused(self, monkeypatch, raw):
+        monkeypatch.setenv("LENKRULL_FACTOR_BOUND", raw)
+        message = f"LENKRULL_FACTOR_BOUND={raw!r} is not a non-negative integer"
+        for call in (factorize, is_prime):
+            with pytest.raises(FactorBoundError) as err:
+                call(91)
+            assert str(err.value) == message
+
+    def test_bounds_zero_and_one_stay_exact(self, monkeypatch):
+        assert factorize(12, bound=0) == {2: 2, 3: 1}
+        assert factorize(23, bound=1) == {23: 1}
+        with pytest.raises(FactorBoundError):
+            factorize(35, bound=1)
+        monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "0")
+        assert factorize(24) == {2: 3, 3: 1}
 
 
 # -- factorize against plain trial division ------------------------------------

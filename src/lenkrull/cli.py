@@ -15,18 +15,27 @@ Subcommands:
 ``--output text|json`` before the subcommand (or with ``--batch``) sets the
 default rendering; one given to the subcommand or on a batch line wins.
 
+A batch line is split into words by POSIX shell quoting, exactly as
+``shlex.split(line, comments=False)`` splits it: only space, tab, carriage
+return and newline separate words; single quotes keep their text literally;
+inside double quotes a backslash escapes only ``"`` and ``\\``; outside quotes
+a backslash escapes any character; adjacent parts join into one word, so
+``''`` is an empty word; ``#`` is an ordinary character.  An unclosed quote or
+a trailing backslash is refused as ``bad quoting`` with shlex's message.
+
 Every engine error is structured (code, message, optional character span into
 the offending argument) and never aborts a batch run.  Exit codes, the same for
 a request given as arguments and for a batch run: 0 success, 1 input error,
-2 verification failure.  Only a command line that argparse cannot read (an
-unknown command or option, a missing ring, a bad ``--output``) exits 2 with a
-usage message.
+2 verification failure.  A command line that argparse cannot read (an unknown
+command or option, a missing ring, a bad ``--output``) exits 1 with a usage
+message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -291,11 +300,47 @@ def _parse_int_option(name: str, value: str) -> int:
 # ---------------------------------------------------------------------------
 # requests
 
+_DOUBLE_BODY = r'(?:[^"\\]|\\.)*'
+# a word with its trailing blanks; parts: bare run, escape, '...', "..."
+_WORD = re.compile(rf"""((?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"{_DOUBLE_BODY}")*)[ \t\r\n]*""", re.S)
+_PART = re.compile(rf"""\\(.)|'([^']*)'|"({_DOUBLE_BODY})\"""", re.S)
+_DOUBLE_ESCAPE = re.compile(r'\\([\\"])')
+_UNCLOSED_DOUBLE = re.compile(f'"{_DOUBLE_BODY}', re.S)
+
+
+def _unquote_part(match: re.Match) -> str:
+    escaped, single, double = match.groups()
+    if double is not None:
+        return _DOUBLE_ESCAPE.sub(r"\1", double)
+    return single if escaped is None else escaped
+
+
+def split_words(line: str) -> list[str]:
+    """The words and errors of ``shlex.split(line, comments=False)``: one
+    regex match per word, and a substitution only for words with quotes or
+    backslashes."""
+    words = []
+    pos = len(line) - len(line.lstrip(" \t\r\n"))
+    while pos < len(line):
+        match = _WORD.match(line, pos)
+        word, pos = match.group(1), match.end()
+        if pos < len(line) and pos == match.end(1):
+            # the word stops at a character that opens nothing it can close
+            bad = line[pos]
+            lone_escape = bad == "\\" or (
+                bad == '"' and _UNCLOSED_DOUBLE.match(line, pos).end() < len(line)
+            )
+            raise ValueError("No escaped character" if lone_escape else "No closing quotation")
+        if "'" in word or '"' in word or "\\" in word:
+            word = _PART.sub(_unquote_part, word)
+        words.append(word)
+    return words
+
 
 def parse_request_line(line: str, output: str = "text") -> Request:
     """One request; ``output`` is the rendering when the line sets no ``--output``."""
     try:
-        tokens = shlex.split(line, comments=False)
+        tokens = split_words(line)
     except ValueError as exc:
         raise ParseError(f"bad quoting: {exc}") from None
     if not tokens:
@@ -519,8 +564,17 @@ def run_batch(path: str, default_output: str) -> tuple[int, list[str]]:
     return worst, outputs
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with its usage errors exiting 1, the input-error code; the
+    subcommand parsers are built from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lenkrull",
         description="Exact ordinal length, reduced length and Cantor-Bendixson rank.",
     )

@@ -42,6 +42,10 @@ grid's size and the number of faces.
 
 Enumeration order is fixed (faces by decreasing size then numeric bitmask
 order) so outputs are deterministic.
+
+numpy is imported at first use, inside ``face_counts`` once the ideal is
+neither zero nor the unit ideal and passes ``MAX_CELLS``, so a process that
+counts no faces never loads it.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import SizeBoundError
 
@@ -186,6 +188,8 @@ def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
             f"monomial sub-grids of all faces hold {pairs} cells, "
             f"above the bound MAX_CELLS = {MAX_CELLS}"
         )
+    import numpy as np
+
     positions = [{c: k for k, c in enumerate(axis)} for axis in cuts]
     ranks = np.array(
         [[pos.get(e, len(pos)) for e, pos in zip(g, positions)] for g in ideal.gens],

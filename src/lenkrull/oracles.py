@@ -19,6 +19,9 @@ with them:
   ``monomial.face_counts`` against the latter at every face.
 
 Sampling is driven by an explicit seed, so every report is reproducible.
+numpy is imported at first use, by the box helpers (``_gens_array``,
+``_contains_many``, ``_box_points``), so the suites that enumerate no box
+never load it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
 from .monomial import (
@@ -52,6 +53,9 @@ from .zmodule import (
     submodule_normal_form,
     torsion_lattice_basis,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # hard cap on how many box monomials a single enumeration may visit
 MAX_BOX_POINTS = 2_000_000
@@ -309,6 +313,8 @@ class StandardPair:
 
 
 def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
+    import numpy as np
+
     if ideal.gens:
         return np.array(ideal.gens, dtype=np.int64)
     return np.zeros((0, ideal.n_vars), dtype=np.int64)
@@ -317,6 +323,8 @@ def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
 def _contains_many(points: np.ndarray, ideal: MonomialIdeal) -> np.ndarray:
     """Membership of each row of ``points`` in ``ideal`` (vectorized divisor
     test, a block of rows at a time so memory stays bounded)."""
+    import numpy as np
+
     gens = _gens_array(ideal)
     out = np.zeros(len(points), dtype=bool)
     if not len(gens):
@@ -339,6 +347,8 @@ def _box_points(ranges: Sequence[range]) -> np.ndarray:
                 f"monomial box larger than {MAX_BOX_POINTS} points; "
                 "exponents are too large for desk-scale enumeration"
             )
+    import numpy as np
+
     pts = np.array(list(itertools.product(*ranges)), dtype=np.int64)
     return pts.reshape(total, len(ranges))
 

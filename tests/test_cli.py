@@ -1,6 +1,18 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenkrull import cli, zmodule
+from lenkrull.errors import ParseError
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 GOLDEN_6_X2 = "\n".join(
     [
@@ -142,3 +154,82 @@ class TestOutputSelection:
         for argv, golden in cases:
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == golden + "\n"
+
+
+def shlex_words(text: str):
+    """``shlex.split`` in the splitter's terms: the words, or the error message."""
+    try:
+        return shlex.split(text, comments=False)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def split_words(text: str):
+    try:
+        return cli.split_words(text)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+class TestSplitWords:
+    # every character the quoting rules treat specially, plus whitespace that
+    # does not separate words, a non-comment '#', and a plain letter
+    ALPHABET = ["'", '"', "\\", " ", "\t", "\r", "\n", "\x0b", "\x0c", "\xa0", "#", "a"]
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(ALPHABET), max_size=24).map("".join))
+    def test_matches_shlex(self, text):
+        assert split_words(text) == shlex_words(text)
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("''", [""]),
+            ("a ''", ["a", ""]),
+            ("a'b'\"c\"", ["abc"]),
+            (r'"a\"b\\c\d"', ['a"b\\c\\d']),
+            ("a\\ b\\'c # d", ["a b'c", "#", "d"]),
+            ("x\x0by\xa0z \t\r\n", ["x\x0by\xa0z"]),
+            ("a\\", "error: No escaped character"),
+            ("ring 'Z[x]", "error: No closing quotation"),
+            ('ring "Z[x]\\', "error: No escaped character"),
+            ('ring "Z[x]\\\\', "error: No closing quotation"),
+            ("ring 'Z[x]\\", "error: No closing quotation"),
+        ],
+    )
+    def test_fixed_cases(self, text, words):
+        assert split_words(text) == words == shlex_words(text)
+
+    def test_request_refusal_carries_the_message(self):
+        with pytest.raises(ParseError) as exc:
+            cli.parse_request_line('ring "Z[x]\\')
+        assert exc.value.message == "bad quoting: No escaped character"
+
+
+COLD_PATH = """
+import sys
+from lenkrull import cli
+
+for argv in (
+    ["zmodule", "--matrix", "[[2]]"],
+    ["localpid", "--free", "1"],
+    ["ring", "Z", "--ideal", "6"],
+    ["verify", "--suite", "sigmaprime", "--trials", "2"],
+):
+    assert cli.main(argv) == 0, argv
+print("numpy loaded:", "numpy" in sys.modules)
+assert cli.main(["ring", "GF(2)[x]", "--ideal", "x"]) == 0
+"""
+
+
+def test_requests_that_count_no_faces_never_load_numpy():
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_PATH],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    before, after = done.stdout.split("numpy loaded: ")
+    assert after.startswith("False\n")
+    assert "length_vector: {0: 1}\n" in after

@@ -1,6 +1,14 @@
+import itertools
+
 import pytest
 
-from lenkrull.length_core import reduced_length
+from lenkrull.length_core import (
+    CyclicPiece,
+    ModuleDescriptor,
+    RingDescriptor,
+    cb_rank,
+    reduced_length,
+)
 from lenkrull.localpid import (
     LocalPIDModule,
     adjusted_torsion_length,
@@ -10,6 +18,7 @@ from lenkrull.localpid import (
     torsion_length,
     top_torsion_exponent,
 )
+from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
 
 
@@ -131,6 +140,33 @@ class TestSandwich:
                 m = mod(free, torsion)
                 isolated = free == 0 and sum(torsion.values()) <= 1
                 assert (cb_rank_local_pid(m) == Ordinal.zero()) == isolated, m
+
+
+class TestInsideTheQSandwich:
+    def test_one_variable_modules_localised_at_x(self):
+        # Q[x] localised at (x) is a local PID with infinite residue field Q;
+        # the piece Q[x]/(x^k) localises to A/I^k and (0) to A, so the local
+        # closed form must lie between length_core's global bounds over Q
+        ring = RingDescriptor("Q", None, ("x",))
+        checked = 0
+        for count in (1, 2, 3):
+            for exponents in itertools.combinations_with_replacement((0, 1, 2, 3), count):
+                pieces = tuple(
+                    CyclicPiece(0, minimalize(1, [(k,)] if k else [])) for k in exponents
+                )
+                bounds = cb_rank(ModuleDescriptor(ring, pieces=pieces))
+                torsion = {k: exponents.count(k) for k in set(exponents) if k}
+                local = cb_rank_local_pid(mod(exponents.count(0), torsion))
+                assert bounds.lower <= local <= bounds.upper, (exponents, bounds, local)
+                checked += 1
+        assert checked == 34
+
+    def test_two_free_pieces(self):
+        ring = RingDescriptor("Q", None, ("x",))
+        zero = CyclicPiece(0, minimalize(1, []))
+        bounds = cb_rank(ModuleDescriptor(ring, pieces=(zero, zero)))
+        assert (bounds.lower, bounds.upper) == (ordinal("2"), ordinal("w*2"))
+        assert cb_rank_local_pid(mod(2)) == ordinal("w")
 
 
 class TestValidation:

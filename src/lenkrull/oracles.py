@@ -30,7 +30,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
 from .monomial import (
@@ -59,8 +59,10 @@ if TYPE_CHECKING:
 
 # hard cap on how many box monomials a single enumeration may visit
 MAX_BOX_POINTS = 2_000_000
-MAX_GROUP_ORDER = 10_000
-_ADD_TABLE_LIMIT = 1_000  # build a full addition table only below this order
+# enumerate_subgroups builds an order x order addition table
+MAX_GROUP_ORDER = 1_000
+# caractl checks every abelian group of order up to this bound
+CARACTL_MAX_ORDER = 100
 
 
 @dataclass(frozen=True)
@@ -130,23 +132,17 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[SubgroupInfo, ...]:
         raise SizeBoundError(f"group order {size} exceeds the bound {MAX_GROUP_ORDER}")
     s = len(orders)
 
-    if size <= _ADD_TABLE_LIMIT:
-        vecs = [decode(c) for c in range(size)]
-        table = [
-            [
-                encode(tuple((x + y) % q for x, y, q in zip(vecs[a], vecs[b], orders)))
-                for b in range(size)
-            ]
-            for a in range(size)
+    vecs = [decode(c) for c in range(size)]
+    table = [
+        [
+            encode(tuple((x + y) % q for x, y, q in zip(vecs[a], vecs[b], orders)))
+            for b in range(size)
         ]
+        for a in range(size)
+    ]
 
-        def add(a: int, b: int) -> int:
-            return table[a][b]
-
-    else:
-
-        def add(a: int, b: int) -> int:
-            return encode(tuple(x + y for x, y in zip(decode(a), decode(b))))
+    def add(a: int, b: int) -> int:
+        return table[a][b]
 
     def closure(members: frozenset[int], e: int) -> frozenset[int]:
         multiples = []
@@ -451,17 +447,6 @@ class VerifyReport:
         }
 
 
-@dataclass(frozen=True)
-class AdditivityTrial:
-    index: int
-    module_nf: ZNormalForm
-    submodule_nf: ZNormalForm
-    quotient_nf: ZNormalForm
-    rank_ok: bool
-    kernel_finite: bool
-    torsion_ok: bool
-
-
 def _torsion_count(nf: ZNormalForm) -> int:
     return sum(count_prime_factors(d) for d in nf.invariant_factors)
 
@@ -489,8 +474,10 @@ def _random_torsion_vectors(
     return out
 
 
-def iter_additivity_trials(trials: int, seed: int) -> Iterator[AdditivityTrial]:
+def check_additivity_z(trials: int, seed: int) -> VerifyReport:
     rng = random.Random(seed)
+    failures = []
+    checked = 0
     for index in range(trials):
         pres = _random_presentation(rng)
         count = rng.randint(1, 3)
@@ -504,40 +491,26 @@ def iter_additivity_trials(trials: int, seed: int) -> Iterator[AdditivityTrial]:
         nf_m = smith_normal_form(pres)
         nf_k = submodule_normal_form(pres, gens)
         nf_n = smith_normal_form(quotient_z(pres, gens))
-        rank_ok = nf_m.free_rank == nf_n.free_rank + nf_k.free_rank
-        kernel_finite = nf_k.free_rank == 0
-        torsion_ok = True
-        if kernel_finite:
-            torsion_ok = _torsion_count(nf_m) == _torsion_count(nf_n) + _torsion_count(
-                nf_k
-            )
-        yield AdditivityTrial(
-            index, nf_m, nf_k, nf_n, rank_ok, kernel_finite, torsion_ok
-        )
-
-
-def check_additivity_z(trials: int, seed: int) -> VerifyReport:
-    failures = []
-    checked = 0
-    for trial in iter_additivity_trials(trials, seed):
         checked += 1
-        if not trial.rank_ok:
+        if nf_m.free_rank != nf_n.free_rank + nf_k.free_rank:
             failures.append(
-                f"trial {trial.index}: rank additivity broke: "
-                f"{trial.module_nf} vs {trial.quotient_nf} + {trial.submodule_nf}"
+                f"trial {index}: rank additivity broke: {nf_m} vs {nf_n} + {nf_k}"
             )
-        if not trial.torsion_ok:
+        if nf_k.free_rank == 0 and (
+            _torsion_count(nf_m) != _torsion_count(nf_n) + _torsion_count(nf_k)
+        ):
             failures.append(
-                f"trial {trial.index}: torsion additivity broke with finite kernel: "
-                f"{trial.module_nf} vs {trial.quotient_nf} + {trial.submodule_nf}"
+                f"trial {index}: torsion additivity broke with finite kernel: "
+                f"{nf_m} vs {nf_n} + {nf_k}"
             )
     return VerifyReport("additivity", trials, seed, checked, tuple(failures))
 
 
-def iter_finite_kernel_trials(
-    trials: int, seed: int
-) -> Iterator[tuple[int, ZNormalForm, ZNormalForm, ZNormalForm]]:
+def check_sigmaprime_artinian_kernel(trials: int, seed: int) -> VerifyReport:
+    """Quotients by finite submodules must preserve the free rank."""
     rng = random.Random(seed)
+    failures = []
+    checked = 0
     for index in range(trials):
         free = rng.randint(0, 3)
         torsion = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3))]
@@ -557,14 +530,6 @@ def iter_finite_kernel_trials(
         nf_m = smith_normal_form(pres)
         nf_k = submodule_normal_form(pres, gens)
         nf_n = smith_normal_form(quotient_z(pres, gens))
-        yield index, nf_m, nf_k, nf_n
-
-
-def check_sigmaprime_artinian_kernel(trials: int, seed: int) -> VerifyReport:
-    """Quotients by finite submodules must preserve the free rank."""
-    failures = []
-    checked = 0
-    for index, nf_m, nf_k, nf_n in iter_finite_kernel_trials(trials, seed):
         checked += 1
         if nf_k.free_rank != 0:
             failures.append(f"trial {index}: sampled kernel is not finite: {nf_k}")
@@ -615,19 +580,12 @@ def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
     return VerifyReport("oracle-equivalence", trials, seed, checked, tuple(failures))
 
 
-def run_length_recursion_suite(
-    max_order: int = 100, prime_power_ranges: tuple[tuple[int, int], ...] = ((2, 4), (3, 4))
-) -> VerifyReport:
-    """Length recursion on every abelian group of order <= max_order and the
-    named prime-power families."""
+def run_length_recursion_suite() -> VerifyReport:
+    """Length recursion on every abelian group of order <= ``CARACTL_MAX_ORDER``."""
     groups: dict[tuple[int, ...], FiniteAbelianGroup] = {}
-    for order in range(1, max_order + 1):
+    for order in range(1, CARACTL_MAX_ORDER + 1):
         for group in abelian_group_types(order):
             groups[group.prime_power_factors] = group
-    for p, max_exp in prime_power_ranges:
-        for a in range(1, max_exp + 1):
-            for group in abelian_group_types(p**a):
-                groups[group.prime_power_factors] = group
     failures = []
     for key in sorted(groups):
         if not check_length_recursion(groups[key]):

@@ -7,10 +7,12 @@ multiplicities over Z follow: the zero prime has coheight 1 and picks up the
 free rank, each finite prime p contributes v_p(d_i) at coheight 0.
 
 Pivoting is deterministic (smallest absolute value, ties by lowest
-(row, column) in the current matrix), and the reduction optionally tracks the
-unimodular column transform (for integer kernels) and the inverse row
-transform (for the saturated torsion sublattice), both needed to build exact
-sequences for the additivity checks.
+(row, column) in the current matrix), and the reduction keeps only the
+diagonal.  The exact sequences of the additivity checks need integer kernels
+and the saturated torsion sublattice; ``kernel_columns`` finds a kernel by
+bringing [A; I] to column echelon form with unimodular column operations, and
+the saturation of the column space is the kernel of the left kernel, found by
+two such calls.
 
 Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
 10^6 by default) with one early exit: once the divisor reaches
@@ -89,52 +91,9 @@ def _matrix_from_columns(k: int, columns: Sequence[Vector]) -> list[list[int]]:
     return [[col[i] for col in columns] for i in range(k)]
 
 
-def _smith_reduce(a: list[list[int]], m: int, track_cols: bool, track_row_inverse: bool):
-    """Diagonalize the k-row, m-column ``a`` in place; return (diag, col_transform, row_inverse).
-
-    col_transform V satisfies (row ops)*A_orig*V = diag; its columns past the
-    rank span the integer kernel of A_orig.  row_inverse is the inverse of the
-    accumulated row transform; its first ``rank`` columns span the saturation
-    of the column space of A_orig.
-    """
+def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
+    """Diagonalize the k-row, m-column ``a`` in place; return the nonzero diagonal."""
     k = len(a)
-    V = [[int(i == j) for j in range(m)] for i in range(m)] if track_cols else None
-    Uinv = [[int(i == j) for j in range(k)] for i in range(k)] if track_row_inverse else None
-
-    def row_sub(i: int, t: int, q: int):
-        ai, at = a[i], a[t]
-        for j in range(m):
-            ai[j] -= q * at[j]
-        if Uinv is not None:
-            for r in range(k):
-                Uinv[r][t] += q * Uinv[r][i]
-
-    def row_swap(i: int, t: int):
-        a[i], a[t] = a[t], a[i]
-        if Uinv is not None:
-            for r in range(k):
-                Uinv[r][i], Uinv[r][t] = Uinv[r][t], Uinv[r][i]
-
-    def row_negate(t: int):
-        a[t] = [-x for x in a[t]]
-        if Uinv is not None:
-            for r in range(k):
-                Uinv[r][t] = -Uinv[r][t]
-
-    def col_sub(j: int, t: int, q: int):
-        for r in range(k):
-            a[r][j] -= q * a[r][t]
-        if V is not None:
-            for r in range(m):
-                V[r][j] -= q * V[r][t]
-
-    def col_swap(j: int, t: int):
-        for r in range(k):
-            a[r][j], a[r][t] = a[r][t], a[r][j]
-        if V is not None:
-            for r in range(m):
-                V[r][j], V[r][t] = V[r][t], V[r][j]
-
     t = 0
     while True:
         pivot = None
@@ -148,21 +107,24 @@ def _smith_reduce(a: list[list[int]], m: int, track_cols: bool, track_row_invers
             break
         _, pi, pj = pivot
         if pi != t:
-            row_swap(pi, t)
+            a[pi], a[t] = a[t], a[pi]
         if pj != t:
-            col_swap(pj, t)
+            for row in a:
+                row[pj], row[t] = row[t], row[pj]
         while True:
             if a[t][t] < 0:
-                row_negate(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
             clean = True
             for i in range(t + 1, k):
                 if a[i][t]:
                     q = a[i][t] // p
                     if q:
-                        row_sub(i, t, q)
+                        ai, at = a[i], a[t]
+                        for j in range(m):
+                            ai[j] -= q * at[j]
                     if a[i][t]:
-                        row_swap(i, t)
+                        a[i], a[t] = a[t], a[i]
                         clean = False
                         break
             if not clean:
@@ -171,16 +133,17 @@ def _smith_reduce(a: list[list[int]], m: int, track_cols: bool, track_row_invers
                 if a[t][j]:
                     q = a[t][j] // p
                     if q:
-                        col_sub(j, t, q)
+                        for row in a:
+                            row[j] -= q * row[t]
                     if a[t][j]:
-                        col_swap(j, t)
+                        for row in a:
+                            row[j], row[t] = row[t], row[j]
                         clean = False
                         break
             if clean:
                 break
         t += 1
-    diag = [a[i][i] for i in range(t)]
-    return diag, V, Uinv
+    return [a[i][i] for i in range(t)]
 
 
 def _divisibility_chain(diag: Sequence[int]) -> list[int]:
@@ -200,7 +163,7 @@ def _divisibility_chain(diag: Sequence[int]) -> list[int]:
 
 def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
     a = _matrix_from_columns(pres.generators, pres.relations)
-    diag, _, _ = _smith_reduce(a, len(pres.relations), track_cols=False, track_row_inverse=False)
+    diag = _smith_reduce(a, len(pres.relations))
     chain = _divisibility_chain(diag)
     return ZNormalForm(
         free_rank=pres.generators - len(diag),
@@ -209,21 +172,44 @@ def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
 
 
 def kernel_columns(k: int, columns: Sequence[Vector]) -> list[Vector]:
-    """Basis of the integer kernel of the k-row matrix with the given columns."""
-    a = _matrix_from_columns(k, columns)
-    diag, V, _ = _smith_reduce(a, len(columns), track_cols=True, track_row_inverse=False)
-    rank = len(diag)
+    """Basis of the integer kernel of the k-row matrix A with the given columns.
+
+    Unimodular column operations bring [A; I] to column echelon form, row by
+    row of A: the column whose entry in the row is smallest in absolute value
+    reduces the others until it alone is nonzero there.  The columns whose A
+    part ends up zero then hold a kernel basis in their identity part.
+    """
     m = len(columns)
-    return [tuple(V[r][j] for r in range(m)) for j in range(rank, m)]
+    cols = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(columns)]
+    t = 0
+    for r in range(k):
+        while True:
+            live = [j for j in range(t, m) if cols[j][r]]
+            if not live:
+                break
+            p = min(live, key=lambda j: abs(cols[j][r]))
+            cols[t], cols[p] = cols[p], cols[t]
+            if len(live) == 1:
+                t += 1
+                break
+            pivot = cols[t]
+            for j in range(t + 1, m):
+                q = cols[j][r] // pivot[r]
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pivot)]
+    return [tuple(col[k:]) for col in cols[t:]]
 
 
 def torsion_lattice_basis(pres: ZPresentation) -> list[Vector]:
-    """Basis of {v in Z^k : the image of v in the module has finite order}."""
-    a = _matrix_from_columns(pres.generators, pres.relations)
-    diag, _, Uinv = _smith_reduce(a, len(pres.relations), track_cols=False, track_row_inverse=True)
-    rank = len(diag)
+    """Basis of {v in Z^k : the image of v in the module has finite order}.
+
+    Those are the v that every integer relation among the rows of the
+    presentation annihilates (the saturation of its column space), so the
+    basis is the kernel of the left kernel.
+    """
     k = pres.generators
-    return [tuple(Uinv[r][j] for r in range(k)) for j in range(rank)]
+    left = kernel_columns(len(pres.relations), _matrix_from_columns(k, pres.relations))
+    return kernel_columns(len(left), [tuple(y[i] for y in left) for i in range(k)])
 
 
 def quotient_z(pres: ZPresentation, extra: Iterable[Sequence[int]]) -> ZPresentation:

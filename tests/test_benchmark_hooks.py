@@ -43,4 +43,6 @@ def test_traced_run_answers_as_the_untraced_one(worker):
     assert traced == plain
     assert [worker.run_line(line) for line in LINES] == plain
     recorded = {tracer.names[span[0]] for span in tracer.spans}
-    assert {"cli.parse", "cli.render", "zmodule.snf", "localpid", "oracles.additivity"} <= recorded
+    assert {
+        "cli.parse", "cli.render", "zmodule.snf", "zmodule.submodule", "localpid", "oracles.additivity"
+    } <= recorded

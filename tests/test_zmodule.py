@@ -120,6 +120,15 @@ class TestSmithNormalForm:
             assert b % a == 0
 
 
+def _maximal_minor_gcd(vectors, n: int) -> int:
+    """gcd of the maximal minors of the n-row matrix with the given columns:
+    1 exactly when the columns are independent and span a saturated lattice."""
+    g = 0
+    for rsel in itertools.combinations(range(n), len(vectors)):
+        g = gcd(g, _det([[v[r] for v in vectors] for r in rsel]))
+    return g
+
+
 class TestKernels:
     @given(presentations())
     def test_kernel_vectors_annihilate_and_count(self, pres):
@@ -132,6 +141,7 @@ class TestKernels:
                 for i in range(pres.generators)
             ]
             assert not any(image)
+        assert _maximal_minor_gcd(basis, len(pres.relations)) == 1
 
     @given(presentations())
     def test_torsion_lattice_basis(self, pres):
@@ -140,6 +150,7 @@ class TestKernels:
         assert len(basis) == pres.generators - nf.free_rank
         for vec in basis:
             assert submodule_normal_form(pres, [vec]).free_rank == 0
+        assert _maximal_minor_gcd(basis, pres.generators) == 1
 
 
 class TestLengthVector:

@@ -143,7 +143,7 @@ def _parse_monomial(sc: Scanner, ring: RingDescriptor) -> tuple[int, ...]:
     index = {name: i for i, name in enumerate(ring.vars)}
     while True:
         sc.skip_ws()
-        if sc.peek().isdigit():
+        if sc.peek().isdecimal():
             start = sc.pos
             value = sc.nat()
             if value != 1:
@@ -165,7 +165,7 @@ def _at_unit_monomial(sc: Scanner) -> bool:
     if sc.pos >= len(sc.text) or sc.text[sc.pos] != "1":
         return False
     nxt = sc.pos + 1
-    return nxt >= len(sc.text) or not sc.text[nxt].isdigit()
+    return nxt >= len(sc.text) or not sc.text[nxt].isdecimal()
 
 
 def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
@@ -181,7 +181,7 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
     empty = sc.eof() if not stop else sc.peek() == stop
     while not empty:
         sc.skip_ws()
-        if sc.peek().isdigit() and not _at_unit_monomial(sc):
+        if sc.peek().isdecimal() and not _at_unit_monomial(sc):
             start = sc.pos
             value = sc.nat()
             if value == 0:
@@ -257,6 +257,11 @@ def parse_presentation(matrix_text: str, generators: str | None) -> ZPresentatio
         raise ParseError(
             f"bad matrix JSON: {exc.msg} at position {exc.pos}", (exc.pos, exc.pos + 1)
         ) from None
+    except ValueError:
+        # json reads numbers with int(), which refuses text past the digit limit
+        raise ParseError(
+            f"bad matrix JSON: an integer exceeds the {sys.get_int_max_str_digits()}-digit limit"
+        ) from None
     if isinstance(data, dict):
         try:
             k = data["generators"]
@@ -285,7 +290,7 @@ def parse_presentation(matrix_text: str, generators: str | None) -> ZPresentatio
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ParseError("generator count must be a non-negative integer")
     try:
-        return ZPresentation.from_columns(k, columns)
+        return ZPresentation(k, tuple(map(tuple, columns)))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

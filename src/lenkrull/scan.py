@@ -6,6 +6,8 @@ message ends in ``at position N`` and whose span is ``(N, N + 1)``.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ParseError
 
 
@@ -44,11 +46,15 @@ class Scanner:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected a natural number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # int() refuses text longer than the interpreter's digit limit
+            self.error(f"number exceeds the {sys.get_int_max_str_digits()}-digit limit", start)
 
     def ident(self) -> str:
         self.skip_ws()

@@ -6,13 +6,18 @@ invariants (free rank, invariant-factor chain), from which the per-coheight
 multiplicities over Z follow: the zero prime has coheight 1 and picks up the
 free rank, each finite prime p contributes v_p(d_i) at coheight 0.
 
+The reduction works on the transpose, one row per relation (a matrix and
+its transpose have the same invariant factors), and keeps only the diagonal.
 Pivoting is deterministic (smallest absolute value, ties by lowest
-(row, column) in the current matrix), and the reduction keeps only the
-diagonal.  The exact sequences of the additivity checks need integer kernels
-and the saturated torsion sublattice; ``kernel_columns`` finds a kernel by
-bringing [A; I] to column echelon form with unimodular column operations, and
-the saturation of the column space is the kernel of the left kernel, found by
-two such calls.
+(row, column) in the current matrix); each step works on the block not yet
+diagonal, divides with quotients rounded to the nearest integer, and clears
+the pivot's row in place once its column is clear.
+
+The exact sequences of the additivity checks need integer kernels and the
+saturated torsion sublattice; ``kernel_columns`` finds a kernel by bringing
+[A; I] to column echelon form with unimodular column operations, and the
+saturation of the column space is the kernel of the left kernel, found by two
+such calls.
 
 Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
 10^6 by default) with one early exit: once the divisor reaches
@@ -23,7 +28,9 @@ cofactor gets a deterministic Miller-Rabin test with the first 13 primes
 them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
 Math. Comp. 86, 2017), so a pass there is a proof of primality and nothing
 probabilistic reaches an answer.  Larger or composite cofactors go on with
-plain trial division.
+plain trial division.  A refusal names a cofactor of ``SHOWN_BELOW`` or more
+by its number of digits, since Python converts no integer of more than
+``sys.get_int_max_str_digits()`` digits to text.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ PRIME_TEST_FROM = 1001
 # is prime (Sorenson-Webster 2017)
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+# a factor-bound refusal names a cofactor below this by value, a larger one by its size
+SHOWN_BELOW = 10**40
 
 Vector = tuple[int, ...]
 
@@ -92,51 +101,60 @@ def _matrix_from_columns(k: int, columns: Sequence[Vector]) -> list[list[int]]:
 
 
 def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
-    """Diagonalize the k-row, m-column ``a`` in place; return the nonzero diagonal."""
+    """Diagonalize the k-row, m-column ``a`` in place; return the nonzero diagonal.
+
+    Step t pivots on the entry of least absolute value in rows and columns
+    t.. (ties by lowest (row, column)).  Rows above t and columns left of t
+    are already zero off the diagonal, so every operation runs over the
+    active block only.  Quotients round to the nearest integer, so each
+    remainder is at most half the pivot in absolute value.  The row phase
+    clears the pivot's column; once it is clear, a column operation changes
+    only the pivot row, so the column phase reduces that row's entries mod the
+    pivot in place and swaps a column in only when a remainder is nonzero.
+    """
     k = len(a)
     t = 0
     while True:
-        pivot = None
+        least = 0
         for i in range(t, k):
+            row = a[i]
             for j in range(t, m):
-                if a[i][j]:
-                    key = (abs(a[i][j]), i, j)
-                    if pivot is None or key < pivot:
-                        pivot = key
-        if pivot is None:
+                x = abs(row[j])
+                if x and (x < least or not least):
+                    least, pi, pj = x, i, j
+        if not least:
             break
-        _, pi, pj = pivot
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
+        a[pi], a[t] = a[t], a[pi]
         if pj != t:
-            for row in a:
+            for i in range(t, k):
+                row = a[i]
                 row[pj], row[t] = row[t], row[pj]
         while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            p = a[t][t]
+            at = a[t]
+            if at[t] < 0:
+                at[t:] = [-x for x in at[t:]]
+            p = at[t]
+            half = p // 2
             clean = True
             for i in range(t + 1, k):
-                if a[i][t]:
-                    q = a[i][t] // p
+                ai = a[i]
+                if ai[t]:
+                    q = (ai[t] + half) // p
                     if q:
-                        ai, at = a[i], a[t]
-                        for j in range(m):
+                        for j in range(t, m):
                             ai[j] -= q * at[j]
-                    if a[i][t]:
-                        a[i], a[t] = a[t], a[i]
+                    if ai[t]:
+                        a[i], a[t] = at, ai
                         clean = False
                         break
             if not clean:
                 continue
             for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
+                if at[j]:
+                    at[j] = (at[j] + half) % p - half
+                    if at[j]:
+                        for i in range(t, k):
+                            row = a[i]
                             row[j], row[t] = row[t], row[j]
                         clean = False
                         break
@@ -162,8 +180,8 @@ def _divisibility_chain(diag: Sequence[int]) -> list[int]:
 
 
 def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
-    a = _matrix_from_columns(pres.generators, pres.relations)
-    diag = _smith_reduce(a, len(pres.relations))
+    # a matrix and its transpose have the same invariant factors
+    diag = _smith_reduce([list(col) for col in pres.relations], pres.generators)
     chain = _divisibility_chain(diag)
     return ZNormalForm(
         free_rank=pres.generators - len(diag),
@@ -308,11 +326,18 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
         d += 6
     if n > 1:
         if d * d <= n and n > limit * limit:
+            shown = n if n < SHOWN_BELOW else f"a {_decimal_digits(n)}-digit cofactor"
             raise FactorBoundError(
-                f"cannot certify a factorization of {n}: no prime divisor up to {limit}"
+                f"cannot certify a factorization of {shown}: no prime divisor up to {limit}"
             )
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of n > 0, without converting n to text."""
+    d = int(n.bit_length() * 0.30102999566398120) + 1  # log10(2); one too many at most
+    return d - (n < 10 ** (d - 1))
 
 
 def _proven_prime(n: int) -> bool:

@@ -233,3 +233,52 @@ def test_requests_that_count_no_faces_never_load_numpy():
     before, after = done.stdout.split("numpy loaded: ")
     assert after.startswith("False\n")
     assert "length_vector: {0: 1}\n" in after
+
+
+NINES = "9" * 5000  # past the interpreter's 4300-digit limit of integer text
+LIMIT = f"{sys.get_int_max_str_digits()}-digit limit"
+
+
+class TestIntegerTextLimits:
+    """Numbers that int() refuses to convert are refused as input errors."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (f"zmodule --matrix '[[{NINES}]]'", f"bad matrix JSON: an integer exceeds the {LIMIT}"),
+            (f"ring Z --ideal {NINES}", f"number exceeds the {LIMIT} at position 0"),
+            ("ring 'Z[x]' --ideal 'x^²'", "expected a natural number at position 2"),
+            ("localpid --torsion '²:1'", "expected a natural number at position 0"),
+        ],
+        ids=[
+            "long-matrix-entry",
+            "long-ideal-integer",
+            "superscript-exponent",
+            "superscript-torsion",
+        ],
+    )
+    def test_parse_refusals(self, line, message):
+        code, text = run(line + " --output json")
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert (error["code"], error["message"]) == ("parse", message)
+
+    def test_long_cofactor_is_named_by_its_size(self):
+        matrix = f"[[{10**3000 + 1},0],[0,{10**2999 + 3}]]"
+        assert run(f"zmodule --matrix '{matrix}'") == (
+            1,
+            "error[factor-bound]: cannot certify a factorization of a 5981-digit cofactor: "
+            "no prime divisor up to 1000000",
+        )
+
+    def test_batch_answers_the_lines_after_a_refused_one(self, tmp_path):
+        batch = tmp_path / "requests.txt"
+        batch.write_text(
+            f"zmodule --matrix '[[2]]'\nzmodule --matrix '[[{NINES}]]'\nzmodule --matrix '[[2]]'\n",
+            encoding="utf-8",
+        )
+        refusal = f"error[parse]: bad matrix JSON: an integer exceeds the {LIMIT}"
+        assert cli.run_batch(str(batch), "text") == (
+            1,
+            [GOLDEN_Z_MOD_2_TEXT, refusal, GOLDEN_Z_MOD_2_TEXT],
+        )

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd, isqrt, prod
 
 import pytest
@@ -88,6 +89,40 @@ def _invariants_by_minor_gcds(pres: ZPresentation):
     return k - rank, tuple(f for f in factors if f != 1)
 
 
+# primes near 10^11, as in the zmodule-snf benchmark's cofactors
+PRIMES_NEAR_1E11 = (100000000003, 100000000019, 100000000057, 100000000063)
+
+
+def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """Row-shuffled product of unit lower and unit upper triangular matrices."""
+    lower = [[rng.randint(-10, 10) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randint(-10, 10) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)] for row in lower]
+    rng.shuffle(out)
+    return out
+
+
+def _mixed_presentation(seed: int) -> tuple[ZPresentation, ZNormalForm]:
+    """U * D * V with 8-14 relations, free rank 0-3 and 2-4 invariant factors,
+    those from a random one on multiplied by a prime near 10^11."""
+    rng = random.Random(seed)
+    size, free = rng.randint(8, 14), rng.randint(0, 3)
+    chain, d = [], 1
+    for _ in range(rng.randint(2, 4)):
+        d *= rng.choice((2, 3, 5, 7))
+        chain.append(d)
+    big, prime = rng.randrange(len(chain)), rng.choice(PRIMES_NEAR_1E11)
+    chain[big:] = [d * prime for d in chain[big:]]
+    diag = [1] * (size - len(chain)) + chain
+    u, v = _unimodular(rng, size + free), _unimodular(rng, size)
+    # column j of U * D * V is the sum over i of U's column i times diag[i] * V[i][j]
+    columns = tuple(
+        tuple(sum(u[r][i] * diag[i] * v[i][j] for i in range(size)) for r in range(size + free))
+        for j in range(size)
+    )
+    return ZPresentation(size + free, columns), ZNormalForm(free, tuple(chain))
+
+
 class TestSmithNormalForm:
     def test_single_torsion_and_free(self):
         nf = smith_normal_form(ZPresentation(2, ((2, 0), (0, 0))))
@@ -106,11 +141,32 @@ class TestSmithNormalForm:
 
     def test_zero_generators(self):
         assert smith_normal_form(ZPresentation(0, ())) == ZNormalForm(0, ())
+        assert smith_normal_form(ZPresentation(0, ((), ()))) == ZNormalForm(0, ())
+
+    def test_zero_columns(self):
+        zero = ZPresentation(3, ((0, 0, 0), (0, 0, 0)))
+        assert smith_normal_form(zero) == ZNormalForm(3, ())
+        mixed = ZPresentation(3, ((0, 0, 0), (0, 4, 0), (0, 0, 0)))
+        assert smith_normal_form(mixed) == ZNormalForm(2, (4,))
+
+    def test_lone_negative_unit_pivot(self):
+        assert smith_normal_form(ZPresentation(1, ((-1,),))) == ZNormalForm(0, ())
+        assert smith_normal_form(ZPresentation(2, ((0, -1),))) == ZNormalForm(1, ())
 
     @given(presentations())
     def test_matches_minor_gcd_oracle(self, pres):
         nf = smith_normal_form(pres)
         assert (nf.free_rank, nf.invariant_factors) == _invariants_by_minor_gcds(pres)
+
+    @given(presentations(bound=10**12))
+    def test_matches_minor_gcd_oracle_on_large_entries(self, pres):
+        nf = smith_normal_form(pres)
+        assert (nf.free_rank, nf.invariant_factors) == _invariants_by_minor_gcds(pres)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_recovers_the_chain_of_a_mixed_diagonal(self, seed):
+        pres, expected = _mixed_presentation(seed)
+        assert smith_normal_form(pres) == expected
 
     @given(presentations(max_k=4, max_cols=6))
     def test_structural_invariants(self, pres):

@@ -408,6 +408,8 @@ def _cb_payload(cb: CBResult) -> dict:
 
 
 def _analysis_payload(analysis: ModuleAnalysis) -> dict:
+    # str(length) refuses a count past the digit limit of integer text before
+    # any rendering: the length's coefficients are the vector's counts
     return {
         "ring": analysis.ring,
         "module": analysis.module,

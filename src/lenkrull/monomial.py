@@ -32,13 +32,23 @@ the last ending at top_i.  Each stripped ideal's i-th exponents are original
 exponents or 0, so each is a cut point or top_i, and truncation sends a
 coordinate to the cut point 0.  For such an exponent e and any m_i in
 [c_k, c_k+1), e <= m_i iff e <= c_k.  Hence a cell's points pass or fail
-together: face F takes the sub-grid whose F coordinates are 0 (width 1 on
-those axes), tests each cell's lower corner once, and adds up the widths'
-products over the other axes for the corners that pass.  The grid has at
-most (generators + 1)^variables cells whatever the size of the exponents;
-``MAX_CELLS`` bounds the cells of all the faces' sub-grids together, the
-product of (cut points + 1) over the variables, which is at least both the
-grid's size and the number of faces.
+together, and all faces share one grid: axis i has one index per cell and a
+last index for "x_i is in the face" (coordinate 0, width 1).  A generator's
+rank on axis i is the index of its cut point g_i, or the face index when g_i
+is top_i; the face index lies above every rank, because a stripped generator
+has exponent 0 there.  So the grid points whose root lies in the stripped
+ideal form the union of the orthants above the generators' ranks, one slice
+assignment each.  The standard test is then n array operations: a point
+passes when it is outside that union and, on every axis where it sits on a
+cell, its neighbour at the face index is inside.  Contracting each axis with
+the 2-row matrix [[cell widths..., 0], [0..., 1]] adds up, per face, the
+volumes of the passing cells.  The grid has at most (generators +
+1)^variables points whatever the size of the exponents, one per (face, cell)
+pair; ``MAX_CELLS`` bounds their number, the product of (cut points + 1) over
+the variables, which is at least both the number of cells and the number of
+faces.  Under it a count peaks at 10 + 16/a bytes per grid point, a the
+length of variable 0's axis, so about 10 and at most 18: two boolean grids,
+the int64 copy that the first contraction reads, and its result.
 
 Enumeration order is fixed (faces by decreasing size then numeric bitmask
 order) so outputs are deterministic.
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,8 +72,6 @@ Monomial = tuple[int, ...]
 
 # hard cap on the cells a face count may visit, over all faces
 MAX_CELLS = 2_000_000
-# rows x generators tested at once, which bounds the working arrays
-BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -165,12 +174,9 @@ def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
     """Number of standard pairs per face, counted over the cells of the box.
 
     Faces come by decreasing size, then numeric bitmask order; zero counts are
-    omitted.  All faces are tested in one pass over (face, cell) pairs: axis
-    i takes state 0 when x_i is in the face (coordinate 0, width 1) and state
-    k when the root lies in its k-th cell.  A generator exponent becomes the
-    index of its cut point, or one past the last cell when it is the box top,
-    so ``g_i <= m_i`` for a cell's lower corner m compares indices and
-    exponents of any size fit in int64.
+    omitted.  Generator exponents enter only as ranks among the cut points,
+    so exponents of any size index the grid; the widths are summed in int64,
+    or in Python ints when the box volume does not fit.
     """
     n = ideal.n_vars
     if ideal.is_unit:
@@ -190,47 +196,27 @@ def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
         )
     import numpy as np
 
-    positions = [{c: k for k, c in enumerate(axis)} for axis in cuts]
-    ranks = np.array(
-        [[pos.get(e, len(pos)) for e, pos in zip(g, positions)] for g in ideal.gens],
-        dtype=np.int64,
-    )
+    # axis n-1-i of the grid is variable i, so the per-face totals flatten to
+    # the face bitmask; member[p]: the root lies in the stripped ideal
+    member = np.zeros(shape[::-1], dtype=bool)
+    for g in ideal.gens:
+        member[tuple(slice(bisect_left(axis, e), None) for axis, e in zip(cuts, g))[::-1]] = True
+    # admissible, and maximal: on each axis where the point sits on a cell,
+    # moving that variable into the face puts the root in the stripped ideal
+    keep = ~member
+    whole = (slice(None),) * n
+    for j in range(n):
+        keep[whole[:j] + (slice(-1),)] &= member[whole[:j] + (slice(-1, None),)]
     # every face's count is at most the box volume; past int64, use Python ints
     dtype = np.int64 if math.prod(tops) < 2**63 else object
-    # widths[i, k]: width of axis i in state k (1 for state 0, on the face)
-    widths = np.ones((n, max(shape)), dtype=dtype)
+    # contract variable i's axis; row 1 of the weights is bit i of the face
+    totals = keep
     for i, (axis, top) in enumerate(zip(cuts, tops)):
-        widths[i, 1 : len(axis) + 1] = [b - a for a, b in zip(axis, axis[1:] + [top])]
-    axes = np.arange(n)
-    bits = np.left_shift(1, axes)
-    full = (1 << n) - 1
-    supports = np.array([sum(1 << i for i in range(n) if g[i]) for g in ideal.gens])
-    # 2^n <= pairs, so a dense per-face total is no larger than the grid
-    totals = np.zeros(1 << n, dtype=dtype)
-    step = max(1, BLOCK_ENTRIES // len(ideal.gens))
-    for start in range(0, pairs, step):
-        state = np.stack(
-            np.unravel_index(np.arange(start, min(start + step, pairs)), shape), axis=1
-        )
-        face = (state == 0) @ bits
-        # a face holding a generator's support puts the root 1, hence every
-        # root, in its stripped ideal
-        alive = ((face[:, None] & supports) != supports).all(axis=1)
-        state, face = state[alive], face[alive]
-        corner = np.maximum(state - 1, 0)
-        # bit i of rest[r, k]: generator k exceeds root r at i, off the face
-        rest = np.zeros((len(state), len(ideal.gens)), dtype=np.int64)
-        for i in range(n):
-            rest |= (ranks[:, i] > corner[:, None, i]) * bits[i]
-        rest &= ~face[:, None]
-        # admissible: no generator divides the root off the face
-        free = (rest != 0).all(axis=1)
-        # maximal: for each j off the face, some generator exceeds the root
-        # at j alone
-        single = np.where((rest & (rest - 1)) == 0, rest, 0)
-        keep = free & (np.bitwise_or.reduce(single, axis=1) == full ^ face)
-        weight = widths[axes, state[keep]].prod(axis=1)
-        np.add.at(totals, face[keep], weight)
+        weights = np.zeros((2, len(axis) + 1), dtype=dtype)
+        weights[0, :-1] = [b - a for a, b in zip(axis, axis[1:] + [top])]
+        weights[1, -1] = 1
+        totals = weights @ totals.reshape(-1, len(axis) + 1, 1 << i)
+    totals = totals.ravel()
     order = sorted(np.flatnonzero(totals).tolist(), key=lambda f: (-bin(f).count("1"), f))
     return {frozenset(_mask_vars(f)): int(totals[f]) for f in order}
 

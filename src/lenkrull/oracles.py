@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
 from .monomial import (
-    BLOCK_ENTRIES,
     Monomial,
     MonomialIdeal,
     _mask_vars,
@@ -59,6 +58,8 @@ if TYPE_CHECKING:
 
 # hard cap on how many box monomials a single enumeration may visit
 MAX_BOX_POINTS = 2_000_000
+# rows x generators tested at once by _contains_many, which bounds its arrays
+BLOCK_ENTRIES = 1 << 15
 # enumerate_subgroups builds an order x order addition table
 MAX_GROUP_ORDER = 1_000
 # caractl checks every abelian group of order up to this bound

@@ -12,16 +12,20 @@ Canonical string form: ``w`` for the first infinite ordinal, ``^`` for the
 exponent, ``*`` for the coefficient, `` + `` between terms, terms in
 decreasing exponent order (e.g. ``w^2*3 + w + 4``).  ``parse`` accepts terms
 in any order and folds them with ordinal addition; ``format`` always emits
-the canonical decreasing order, so ``parse(format(a)) == a``.
+the canonical decreasing order, so ``parse(format(a)) == a``.  An exponent or
+coefficient of more than ``sys.get_int_max_str_digits()`` digits, which
+Python converts to no text, makes ``str`` raise ``SizeBoundError``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ParseError
+from .errors import ParseError, SizeBoundError
 from .scan import Scanner
+from .zmodule import _decimal_digits
 
 Term = tuple[int, int]
 
@@ -146,16 +150,27 @@ class Ordinal:
         rendered = []
         for exponent, coefficient in self.terms:
             if exponent == 0:
-                rendered.append(str(coefficient))
+                rendered.append(_int_text(coefficient))
                 continue
-            part = "w" if exponent == 1 else f"w^{exponent}"
+            part = "w" if exponent == 1 else f"w^{_int_text(exponent)}"
             if coefficient != 1:
-                part += f"*{coefficient}"
+                part += f"*{_int_text(coefficient)}"
             rendered.append(part)
         return " + ".join(rendered)
 
     def __repr__(self) -> str:
         return f"Ordinal({str(self)!r})"
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, or a size-bound refusal that counts n's digits without text."""
+    try:
+        return str(n)
+    except ValueError:
+        raise SizeBoundError(
+            f"the answer holds a {_decimal_digits(n)}-digit integer, above the bound "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits of text"
+        ) from None
 
 
 ZERO = Ordinal.zero()

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenkrull import cli, zmodule
-from lenkrull.errors import ParseError
+from lenkrull.errors import ParseError, SizeBoundError
+from lenkrull.ordinal import Ordinal
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -281,4 +282,46 @@ class TestIntegerTextLimits:
         assert cli.run_batch(str(batch), "text") == (
             1,
             [GOLDEN_Z_MOD_2_TEXT, refusal, GOLDEN_Z_MOD_2_TEXT],
+        )
+
+
+# answers whose counts are products of two inputs within the digit limit
+LONG_ANSWERS = [
+    (f"ring 'GF(2)[x,y]' --ideal 'x^{'9' * 2200}, y^{'9' * 2200}'", 4400),
+    (f"localpid --torsion '{'9' * 4200}:{'9' * 4200}'", 8400),
+]
+
+
+class TestLongAnswers:
+    """An answer that Python cannot convert to text is refused as a size bound."""
+
+    @staticmethod
+    def refusal(digits: int) -> str:
+        return (
+            f"the answer holds a {digits}-digit integer, above the bound "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits of text"
+        )
+
+    @pytest.mark.parametrize("line, digits", LONG_ANSWERS, ids=["ring", "localpid"])
+    def test_text_and_json(self, line, digits):
+        assert run(line) == (1, f"error[size-bound]: {self.refusal(digits)}")
+        code, text = run(line + " --output json")
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert (error["code"], error["message"]) == ("size-bound", self.refusal(digits))
+
+    def test_ordinal_coefficient_and_exponent(self):
+        big = 10**5000
+        for terms in (((0, big),), ((1, big),), ((big, 1),)):
+            with pytest.raises(SizeBoundError, match="5001-digit integer"):
+                str(Ordinal(terms))
+
+    def test_batch_answers_the_lines_after_a_refused_one(self, tmp_path):
+        batch = tmp_path / "requests.txt"
+        lines = ["zmodule --matrix '[[2]]'"] + [line for line, _ in LONG_ANSWERS]
+        batch.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        refusals = [f"error[size-bound]: {self.refusal(d)}" for _, d in LONG_ANSWERS]
+        assert cli.run_batch(str(batch), "text") == (
+            1,
+            [GOLDEN_Z_MOD_2_TEXT, *refusals, GOLDEN_Z_MOD_2_TEXT],
         )

@@ -264,6 +264,37 @@ class TestFaceCounts:
         e = 10**30
         assert face_count_vector(_ideal(2, (e, 0), (0, e))) == {0: e * e}
 
+    @given(ideals(max_vars=5, max_gens=8, max_exp=3))
+    def test_matches_standard_pairs_in_order(self, ideal):
+        # standard_pairs lists faces by decreasing size, then bitmask
+        assert list(face_counts(ideal).items()) == list(face_count_vector_faces(ideal).items())
+
+    def test_staircase_of_a_thousand_generators(self):
+        gens, area = _staircase(1000, random.Random(3))
+        assert face_counts(_ideal(2, *gens)) == {frozenset(): area}
+
+    def test_three_variable_corner_past_int64(self):
+        a, b, c = 10**30 + 7, 10**30 - 3, 10**29 + 11
+        x, y, z = 4 * 10**29, 10**29 + 1, 3 * 10**28
+        ideal = _ideal(3, (a, 0, 0), (0, b, 0), (0, 0, c), (x, y, z))
+        assert face_counts(ideal) == {frozenset(): a * b * c - (a - x) * (b - y) * (c - z)}
+
+    def test_twenty_variables_one_generator(self):
+        # the standard pairs are (1, every variable but x_j); 2^20 faces
+        counts = face_counts(_ideal(20, (1,) * 20))
+        assert list(counts.items()) == [
+            (frozenset(range(20)) - {j}, 1) for j in reversed(range(20))
+        ]
+        assert face_count_vector(_ideal(20, (1,) * 20)) == {19: 20}
+
+    def test_disjoint_staircases_just_under_the_cell_limit(self):
+        rng = random.Random(5)
+        (left, area_left), (right, area_right) = _staircase(37, rng), _staircase(37, rng)
+        gens = [(a, b, 0, 0) for a, b in left] + [(0, 0, c, d) for c, d in right]
+        # 36 cut points on each axis: 37^4 = 1,874,161 cells over all faces
+        assert 37**4 <= MAX_CELLS < 38**4
+        assert face_counts(_ideal(4, *gens)) == {frozenset(): area_left * area_right}
+
     def test_cell_limit_names_the_bound(self):
         # 40 cut points on each of 4 axes: 41^4 = 2.83M cells over all faces
         gens = [(i, 40 - i, 0, 0) for i in range(41)] + [(0, 0, j, 40 - j) for j in range(41)]
@@ -327,6 +358,19 @@ class TestAssociatedFaces:
         for cover in minimal_covers:
             face = frozenset(range(n)) - cover
             assert counts.get(face, 0) > 0
+
+
+def _staircase(steps: int, rng: random.Random):
+    """Generators (a_k, b_k) of a 2-variable staircase, a_0 = 0 and b_last = 0,
+    and its area: the number of standard monomials."""
+    a = [0]
+    b = [0]
+    for _ in range(steps - 1):
+        a.append(a[-1] + rng.randint(1, 9))
+        b.append(b[-1] + rng.randint(1, 9))
+    b.reverse()
+    area = sum((a[k + 1] - a[k]) * b[k] for k in range(steps - 1))
+    return list(zip(a, b)), area
 
 
 def _shift(m, i, amount):

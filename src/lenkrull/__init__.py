@@ -28,25 +28,10 @@ from .localpid import (
     lengths_local_pid,
     torsion_length,
 )
-from .monomial import (
-    MonomialIdeal,
-    face_count_vector,
-    face_counts,
-    face_saturation,
-    minimalize,
-    saturate_variable,
-)
+from .monomial import MonomialIdeal, face_count_vector, face_counts, minimalize
 from .oracles import StandardPair, local_multiplicity_oracle, standard_pairs
 from .ordinal import OMEGA, Ordinal
-from .zmodule import (
-    ZNormalForm,
-    ZPresentation,
-    associated_primes_z,
-    lambda_z,
-    length_vector_z,
-    quotient_z,
-    smith_normal_form,
-)
+from .zmodule import ZNormalForm, ZPresentation, length_vector_z, smith_normal_form
 
 __version__ = "0.1.0"
 
@@ -70,24 +55,19 @@ __all__ = [
     "ZNormalForm",
     "ZPresentation",
     "analyze",
-    "associated_primes_z",
     "cb_rank",
     "cb_rank_local_pid",
     "check_length_identity",
     "face_count_vector",
     "face_counts",
-    "face_saturation",
     "krull_dimension",
-    "lambda_z",
     "length",
     "length_vector",
     "length_vector_z",
     "lengths_local_pid",
     "local_multiplicity_oracle",
     "minimalize",
-    "quotient_z",
     "reduced_length",
-    "saturate_variable",
     "smith_normal_form",
     "standard_pairs",
     "torsion_length",

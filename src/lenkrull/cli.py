@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shlex
 import sys
 from dataclasses import dataclass
 
@@ -385,16 +384,6 @@ def parse_request_line(line: str, output: str = "text") -> Request:
         else:
             options.append((key, value))
     return Request(command, ring_spec, tuple(options), output)
-
-
-def format_request(req: Request) -> str:
-    tokens = [req.command]
-    if _COMMANDS[req.command][1] is not None:
-        tokens.append(shlex.quote(req.ring_spec))
-    for key, value in req.options:
-        tokens.extend((f"--{key}", shlex.quote(value)))
-    tokens.extend(("--output", req.output))
-    return " ".join(tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Monomial-ideal engine: saturations and standard-pair counts per face.
+"""Monomial-ideal engine: standard-pair counts per face.
 
-Monomials are exponent tuples; an ideal is its minimal generating set.  A
+Monomials are exponent tuples; an ideal is its minimal generating set, which
+the ``MonomialIdeal`` constructor extracts from any generating set.  A
 face is a set of variable indices, and a standard pair ``(root, face)`` is a
 maximal admissible pair: the root has no support on the face, the root is not
 in the ideal obtained by deleting the face variables from every generator,
@@ -76,22 +77,26 @@ MAX_CELLS = 2_000_000
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Minimal generators, canonically sorted; () is the zero ideal."""
+    """Minimal generators, canonically sorted; () is the zero ideal.
+
+    The constructor accepts any generating set of exponent tuples and keeps
+    the generators that no other one divides, sorted and duplicate-free, so
+    equal ideals compare equal.
+    """
 
     n_vars: int
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        for g in self.gens:
+        minimal: list[Monomial] = []
+        # a proper divisor sorts first, and a dominated generator's divisor is
+        # itself divisible by a kept one, so testing the kept ones suffices
+        for g in sorted(set(self.gens)):
             if len(g) != self.n_vars or any(e < 0 for e in g):
                 raise ValueError(f"bad exponent vector {g} for {self.n_vars} variables")
-        if list(self.gens) != sorted(set(self.gens)):
-            raise ValueError("generators must be sorted and duplicate-free")
-        # a proper divisor sorts first, so only earlier generators can dominate
-        for k, h in enumerate(self.gens):
-            for g in self.gens[:k]:
-                if _divides(g, h):
-                    raise ValueError(f"generator {h} is dominated by {g}")
+            if not any(_divides(h, g) for h in minimal):
+                minimal.append(g)
+        object.__setattr__(self, "gens", tuple(minimal))
 
     @property
     def is_zero(self) -> bool:
@@ -115,55 +120,8 @@ def _divides(g: Monomial, m: Monomial) -> bool:
 
 
 def minimalize(n_vars: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
-    """Drop every generator componentwise dominated by another."""
-    minimal: list[Monomial] = []
-    # a proper divisor sorts first, and a dominated generator's divisor is
-    # itself divisible by a kept one, so testing the kept ones suffices
-    for g in sorted({tuple(int(e) for e in g) for g in gens}):
-        if not any(_divides(h, g) for h in minimal):
-            minimal.append(g)
-    return MonomialIdeal(n_vars, tuple(minimal))
-
-
-def saturate_variable(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Colon by all powers of x_i: zero the i-th exponent of every generator."""
-    if not 0 <= i < ideal.n_vars:
-        raise ValueError(f"variable index {i} out of range")
-    return strip_variables(ideal, (i,))
-
-
-def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
-    """Colon by all powers of the product of the given variables."""
-    kill = set(variables)
-    return minimalize(
-        ideal.n_vars,
-        [tuple(0 if i in kill else e for i, e in enumerate(g)) for g in ideal.gens],
-    )
-
-
-def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Pairwise least common multiples, then minimalize."""
-    if a.n_vars != b.n_vars:
-        raise ValueError("intersection requires a common ambient ring")
-    return minimalize(
-        a.n_vars,
-        [tuple(map(max, g, h)) for g in a.gens for h in b.gens],
-    )
-
-
-def face_saturation(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
-    """Intersection of the single-variable saturations over ``variables``.
-
-    This is the colon by any power of the ideal generated by those variables.
-    An empty variable set returns the ideal unchanged.
-    """
-    out = ideal
-    first = True
-    for j in variables:
-        sat = saturate_variable(ideal, j)
-        out = sat if first else intersect(out, sat)
-        first = False
-    return out
+    """The ideal generated by ``gens``, given by its minimal generators."""
+    return MonomialIdeal(n_vars, tuple(tuple(int(e) for e in g) for g in gens))
 
 
 def _mask_vars(mask: int) -> tuple[int, ...]:

@@ -1,22 +1,30 @@
 """Brute-force verifiers: subgroup lattices, recursive lengths, random exact sequences.
 
-These deliberately recompute, by exhaustive enumeration or random sampling,
-quantities the main engines obtain in closed form, and never share code paths
-with them:
+These recompute, by exhaustive enumeration or random sampling, quantities
+the main engines obtain in closed form.  They reuse the few engine routines
+named below; everything else is computed here, apart from the engines:
 
-* finite abelian groups are materialized element by element and their full
-  subgroup lattice is built by closing under cyclic extensions, giving an
-  independent check that the composition length satisfies the recursion
-  "length = 1 + max over proper quotients";
-* random integer presentations with random submodules exercise rank
-  additivity (always) and torsion additivity (finite kernels), as well as
-  invariance of the free rank under quotients by finite submodules;
-* integers are factored by plain trial division up to the bound, the check
-  on ``zmodule.factorize`` and its Miller-Rabin early exit;
-* standard pairs are found by enumerating every point of the exponent box,
-  and local multiplicities by counting the box points between an ideal and
-  its saturation; random monomial ideals cross-check the cell-based
-  ``monomial.face_counts`` against the latter at every face.
+* caractl: finite abelian groups are materialized element by element and
+  their full subgroup lattice is built by closing under cyclic extensions,
+  an independent check that the composition length satisfies the recursion
+  "length = 1 + max over proper quotients".  ``factorize`` splits groups
+  into prime powers, and ``smith_normal_form`` gives each quotient's
+  invariants and the length the recursion is compared with;
+* additivity and sigmaprime: random integer presentations with random
+  submodules exercise rank additivity (always) and torsion additivity
+  (finite kernels), as well as invariance of the free rank under quotients
+  by finite submodules.  The submodule's relations come from
+  ``kernel_columns``, the torsion samples from ``torsion_lattice_basis``,
+  and all three modules of a sequence go through ``smith_normal_form``, so
+  these suites check the Smith form against exactness, not against a second
+  reduction;
+* ``factorize_by_trial_division``: plain trial division up to the bound, the
+  check on ``zmodule.factorize`` and its Miller-Rabin early exit;
+* oracle-equivalence: standard pairs are found by enumerating every point of
+  the exponent box, and local multiplicities by counting the box points
+  between an ideal and its saturation, both with their own membership test.
+  ``minimalize`` builds the sampled ideals and the saturations, and the
+  counts are compared with ``face_counts`` at every face.
 
 Sampling is driven by an explicit seed, so every report is reproducible.
 numpy is imported at first use, by the box helpers (``_gens_array``,
@@ -33,23 +41,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
-from .monomial import (
-    Monomial,
-    MonomialIdeal,
-    _mask_vars,
-    face_counts,
-    face_saturation,
-    minimalize,
-    strip_variables,
-)
+from .monomial import Monomial, MonomialIdeal, _mask_vars, face_counts, minimalize
 from .zmodule import (
     ZNormalForm,
     ZPresentation,
     count_prime_factors,
     factorize,
-    quotient_z,
+    kernel_columns,
     smith_normal_form,
-    submodule_normal_form,
     torsion_lattice_basis,
 )
 
@@ -309,6 +308,33 @@ class StandardPair:
     face: frozenset[int]
 
 
+def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
+    """Colon by all powers of the product of the given variables."""
+    kill = set(variables)
+    return minimalize(
+        ideal.n_vars,
+        [tuple(0 if i in kill else e for i, e in enumerate(g)) for g in ideal.gens],
+    )
+
+
+def face_saturation(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
+    """Intersection of the single-variable saturations over ``variables``.
+
+    This is the colon by any power of the ideal generated by those variables.
+    Two monomial ideals meet in the ideal of their generators' pairwise least
+    common multiples.  An empty variable set returns the ideal unchanged.
+    """
+    out = None
+    for j in variables:
+        sat = strip_variables(ideal, (j,))
+        if out is not None:
+            sat = minimalize(
+                ideal.n_vars, [tuple(map(max, g, h)) for g in out.gens for h in sat.gens]
+            )
+        out = sat
+    return ideal if out is None else out
+
+
 def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
     import numpy as np
 
@@ -448,6 +474,33 @@ class VerifyReport:
         }
 
 
+def quotient_z(pres: ZPresentation, extra: Iterable[Sequence[int]]) -> ZPresentation:
+    """Presentation of the quotient by the submodule generated by ``extra``."""
+    cols = list(pres.relations)
+    for vec in extra:
+        if len(vec) != pres.generators:
+            raise ValueError("quotient vector height mismatch")
+        cols.append(tuple(int(x) for x in vec))
+    return ZPresentation(pres.generators, tuple(cols))
+
+
+def submodule_normal_form(pres: ZPresentation, gens: Sequence[Sequence[int]]) -> ZNormalForm:
+    """Invariants of the submodule of ``pres`` generated by the given vectors.
+
+    The submodule is the image of Z^t -> M sending basis vectors to the
+    generators; its relation lattice is the projection to the first t
+    coordinates of the kernel of [gens | relations].
+    """
+    gcols = [tuple(int(x) for x in v) for v in gens]
+    for v in gcols:
+        if len(v) != pres.generators:
+            raise ValueError("submodule generator height mismatch")
+    t = len(gcols)
+    kern = kernel_columns(pres.generators, tuple(gcols) + pres.relations)
+    rels = tuple(vec[:t] for vec in kern)
+    return smith_normal_form(ZPresentation(t, rels))
+
+
 def _torsion_count(nf: ZNormalForm) -> int:
     return sum(count_prime_factors(d) for d in nf.invariant_factors)
 
@@ -455,8 +508,8 @@ def _torsion_count(nf: ZNormalForm) -> int:
 def _random_presentation(rng: random.Random) -> ZPresentation:
     k = rng.randint(1, 4)
     ncols = rng.randint(0, k + 2)
-    return ZPresentation.from_columns(
-        k, [[rng.randint(-20, 20) for _ in range(k)] for _ in range(ncols)]
+    return ZPresentation(
+        k, tuple(tuple(rng.randint(-20, 20) for _ in range(k)) for _ in range(ncols))
     )
 
 

@@ -17,7 +17,9 @@ The exact sequences of the additivity checks need integer kernels and the
 saturated torsion sublattice; ``kernel_columns`` finds a kernel by bringing
 [A; I] to column echelon form with unimodular column operations, and the
 saturation of the column space is the kernel of the left kernel, found by two
-such calls.
+such calls.  Only the oracles call these two routines, but they stay here:
+the benchmark's tracer (``perfbench/worker.py``) times them as ``zmodule``
+calls, and its tests pin that lookup.
 
 Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
 10^6 by default) with one early exit: once the divisor reaches
@@ -38,7 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FactorBoundError
 
@@ -72,10 +74,6 @@ class ZPresentation:
                     f"relation {col} has height {len(col)}, expected {self.generators}"
                 )
 
-    @classmethod
-    def from_columns(cls, generators: int, columns: Iterable[Sequence[int]]) -> "ZPresentation":
-        return cls(generators, tuple(tuple(int(x) for x in col) for col in columns))
-
 
 @dataclass(frozen=True)
 class ZNormalForm:
@@ -94,10 +92,6 @@ class ZNormalForm:
             if prev is not None and d % prev:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
-
-
-def _matrix_from_columns(k: int, columns: Sequence[Vector]) -> list[list[int]]:
-    return [[col[i] for col in columns] for i in range(k)]
 
 
 def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
@@ -226,43 +220,10 @@ def torsion_lattice_basis(pres: ZPresentation) -> list[Vector]:
     basis is the kernel of the left kernel.
     """
     k = pres.generators
-    left = kernel_columns(len(pres.relations), _matrix_from_columns(k, pres.relations))
+    # the rows of the presentation, k of them even when there are no relations
+    rows = [[col[i] for col in pres.relations] for i in range(k)]
+    left = kernel_columns(len(pres.relations), rows)
     return kernel_columns(len(left), [tuple(y[i] for y in left) for i in range(k)])
-
-
-def quotient_z(pres: ZPresentation, extra: Iterable[Sequence[int]]) -> ZPresentation:
-    """Presentation of the quotient by the submodule generated by ``extra``."""
-    cols = list(pres.relations)
-    for vec in extra:
-        if len(vec) != pres.generators:
-            raise ValueError("quotient vector height mismatch")
-        cols.append(tuple(int(x) for x in vec))
-    return ZPresentation(pres.generators, tuple(cols))
-
-
-def submodule_normal_form(pres: ZPresentation, gens: Sequence[Sequence[int]]) -> ZNormalForm:
-    """Invariants of the submodule of ``pres`` generated by the given vectors.
-
-    The submodule is the image of Z^t -> M sending basis vectors to the
-    generators; its relation lattice is the projection to the first t
-    coordinates of the kernel of [gens | relations].
-    """
-    gcols = [tuple(int(x) for x in v) for v in gens]
-    for v in gcols:
-        if len(v) != pres.generators:
-            raise ValueError("submodule generator height mismatch")
-    t = len(gcols)
-    kern = kernel_columns(pres.generators, tuple(gcols) + pres.relations)
-    rels = tuple(vec[:t] for vec in kern)
-    return smith_normal_form(ZPresentation(t, rels))
-
-
-def lambda_z(nf: ZNormalForm) -> ZNormalForm:
-    """Largest submodule all of whose cyclic submodules have finite length.
-
-    Over Z finite length means finite cardinality, so this is the torsion part.
-    """
-    return ZNormalForm(0, nf.invariant_factors)
 
 
 def _factor_bound(bound: int | None) -> int:
@@ -398,13 +359,3 @@ def length_vector_z(nf: ZNormalForm, bound: int | None = None) -> dict[int, int]
     if torsion:
         vec[0] = torsion
     return vec
-
-
-def associated_primes_z(nf: ZNormalForm, bound: int | None = None) -> frozenset[int]:
-    """Primes with positive local multiplicity; 0 stands for the zero prime."""
-    primes: set[int] = set()
-    if nf.free_rank:
-        primes.add(0)
-    for d in nf.invariant_factors:
-        primes.update(factorize(d, bound))
-    return frozenset(primes)

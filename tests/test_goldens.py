@@ -7,6 +7,7 @@ refactor that keeps the front end's behaviour keeps every entry.
 """
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -90,7 +91,18 @@ def requests(draw):
     return cli.Request(command, ring_spec, options, draw(st.sampled_from(("text", "json"))))
 
 
+def format_request(req):
+    """A batch line spelling ``req``, every value quoted for the shell."""
+    tokens = [req.command]
+    if GRAMMAR[req.command][0]:
+        tokens.append(shlex.quote(req.ring_spec))
+    for key, value in req.options:
+        tokens.extend((f"--{key}", shlex.quote(value)))
+    tokens.extend(("--output", req.output))
+    return " ".join(tokens)
+
+
 @given(requests())
 def test_request_line_round_trip(req):
-    line = cli.format_request(req)
+    line = format_request(req)
     assert cli.parse_request_line(line) == req

@@ -7,23 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lenkrull.errors import FactorBoundError
-from lenkrull.oracles import factorize_by_trial_division
+from lenkrull.oracles import factorize_by_trial_division, quotient_z, submodule_normal_form
 from lenkrull.zmodule import (
     MILLER_RABIN_LIMIT,
     PRIME_TEST_FROM,
     ZNormalForm,
     ZPresentation,
-    associated_primes_z,
     count_prime_factors,
     factorize,
     is_prime,
     is_squarefree,
     kernel_columns,
-    lambda_z,
     length_vector_z,
-    quotient_z,
     smith_normal_form,
-    submodule_normal_form,
     torsion_lattice_basis,
     _proven_prime,
 )
@@ -53,19 +49,6 @@ def _det(rows):
             minor = [row[1:] for j, row in enumerate(rows) if j != i]
             total += (-1) ** i * rows[i][0] * _det(minor)
     return total
-
-
-def _naive_factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _invariants_by_minor_gcds(pres: ZPresentation):
@@ -221,32 +204,7 @@ class TestLengthVector:
             assert vec == {0: n}
 
 
-class TestAssociatedPrimes:
-    def test_examples(self):
-        assert associated_primes_z(ZNormalForm(1, (6,))) == frozenset({0, 2, 3})
-        assert associated_primes_z(ZNormalForm(0, ())) == frozenset()
-        assert associated_primes_z(ZNormalForm(2, ())) == frozenset({0})
-
-    @given(presentations())
-    def test_primes_are_exactly_positive_multiplicities(self, pres):
-        nf = smith_normal_form(pres)
-        # independent per-prime multiplicity by raw repeated division
-        expected = set()
-        if nf.free_rank:
-            expected.add(0)
-        for d in nf.invariant_factors:
-            for p, e in _naive_factor(d).items():
-                if e:
-                    expected.add(p)
-        assert associated_primes_z(nf) == frozenset(expected)
-
-
 class TestLambdaAndQuotient:
-    def test_lambda_examples(self):
-        assert lambda_z(ZNormalForm(2, (4,))) == ZNormalForm(0, (4,))
-        assert lambda_z(ZNormalForm(3, ())) == ZNormalForm(0, ())
-        assert lambda_z(lambda_z(ZNormalForm(0, (2, 6)))) == ZNormalForm(0, (2, 6))
-
     def test_quotient_examples(self):
         z = ZPresentation(1, ())
         assert smith_normal_form(quotient_z(z, [(4,)])) == ZNormalForm(0, (4,))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from . import localpid as localpid_mod
 from . import oracles
-from .errors import LenkrullError, ParseError, UnsupportedError
+from .errors import LenkrullError, ParseError, SizeBoundError, UnsupportedError
 from .length_core import (
     CBResult,
     CyclicPiece,
@@ -487,6 +487,10 @@ def _run_verify(req: Request) -> tuple[int, dict]:
     seed = _parse_int_option("seed", opts.get("seed", "0"))
     if trials < 0:
         raise ParseError("--trials must be non-negative")
+    if trials > oracles.MAX_TRIALS:
+        raise SizeBoundError(
+            f"--trials {trials} is above the bound MAX_TRIALS = {oracles.MAX_TRIALS}"
+        )
     names = SUITES[:-1] if suite == "all" else (suite,)
     reports = []
     for name in names:

@@ -186,13 +186,13 @@ def _piece_vector(ring: RingDescriptor, piece: CyclicPiece) -> dict[int, int]:
     m = piece.integer_part
     if m == 0:
         return {f + 1: c for f, c in counts.items()}
-    factors = zmodule.factorize(m)
-    if any(e > 1 for e in factors.values()):
+    exponents = zmodule.prime_exponents(m)
+    if any(e > 1 for e in exponents):
         raise UnsupportedError(
             f"integer generator {m} is not squarefree; only squarefree integers "
             "may be combined with polynomial variables"
         )
-    t = len(factors)
+    t = len(exponents)
     if t == 0:
         return {}
     return {f: t * c for f, c in counts.items()}

@@ -23,13 +23,17 @@ named below; everything else is computed here, apart from the engines:
 * oracle-equivalence: standard pairs are found by enumerating every point of
   the exponent box, and local multiplicities by counting the box points
   between an ideal and its saturation, both with their own membership test.
-  ``minimalize`` builds the sampled ideals and the saturations, and the
-  counts are compared with ``face_counts`` at every face.
+  A point m lies in the saturation by the variables outside a face exactly
+  when, for each such variable x_j, some generator of the ideal (with the
+  face variables deleted) divides m in every coordinate but j; the oracle
+  tests that on the generators directly, without building the saturation.
+  ``minimalize`` builds the sampled ideals, and the counts are compared with
+  ``face_counts`` at every face.
 
 Sampling is driven by an explicit seed, so every report is reproducible.
 numpy is imported at first use, by the box helpers (``_gens_array``,
-``_contains_many``, ``_box_points``), so the suites that enumerate no box
-never load it.
+``_contains_many``, ``_saturation_members``, ``_box_points``), so the suites
+that enumerate no box never load it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ BLOCK_ENTRIES = 1 << 15
 MAX_GROUP_ORDER = 1_000
 # caractl checks every abelian group of order up to this bound
 CARACTL_MAX_ORDER = 100
+# most trials one randomized suite may be asked to run
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -311,28 +317,10 @@ class StandardPair:
 def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
     """Colon by all powers of the product of the given variables."""
     kill = set(variables)
-    return minimalize(
+    return MonomialIdeal(
         ideal.n_vars,
-        [tuple(0 if i in kill else e for i, e in enumerate(g)) for g in ideal.gens],
+        tuple(tuple(0 if i in kill else e for i, e in enumerate(g)) for g in ideal.gens),
     )
-
-
-def face_saturation(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
-    """Intersection of the single-variable saturations over ``variables``.
-
-    This is the colon by any power of the ideal generated by those variables.
-    Two monomial ideals meet in the ideal of their generators' pairwise least
-    common multiples.  An empty variable set returns the ideal unchanged.
-    """
-    out = None
-    for j in variables:
-        sat = strip_variables(ideal, (j,))
-        if out is not None:
-            sat = minimalize(
-                ideal.n_vars, [tuple(map(max, g, h)) for g in out.gens for h in sat.gens]
-            )
-        out = sat
-    return ideal if out is None else out
 
 
 def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
@@ -376,6 +364,35 @@ def _box_points(ranges: Sequence[range]) -> np.ndarray:
     return pts.reshape(total, len(ranges))
 
 
+def _saturation_members(points: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Membership of each row of ``points`` in the ideal generated by the rows
+    of ``gens`` and in its saturation by every variable.
+
+    m lies in the saturation by x_j exactly when some generator divides m in
+    every coordinate but j, so m lies in the saturation by all variables when
+    that holds for each j.  A block of rows at a time, as in
+    ``_contains_many``, so memory stays bounded.
+    """
+    import numpy as np
+
+    in_ideal = np.zeros(len(points), dtype=bool)
+    in_saturation = np.zeros(len(points), dtype=bool)
+    if not len(gens):
+        return in_ideal, in_saturation
+    step = max(1, BLOCK_ENTRIES // len(gens))
+    for start in range(0, len(points), step):
+        block = points[start : start + step]
+        # short[p, g, j]: generator g does not divide point p in coordinate j
+        short = block[:, None, :] < gens[None, :, :]
+        misses = short.sum(axis=2)
+        hit = (misses == 0).any(axis=1)
+        # some generator fails at coordinate j and nowhere else
+        only = (short & (misses == 1)[:, :, None]).any(axis=1)
+        in_ideal[start : start + step] = hit
+        in_saturation[start : start + step] = hit | only.all(axis=1)
+    return in_ideal, in_saturation
+
+
 def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
     """Local multiplicity at the prime spanned by the variables outside ``face``.
 
@@ -386,7 +403,9 @@ def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
     everything, so the count is 1 exactly for the zero ideal.  Gap monomials
     lie below the stripped ideal's componentwise maximum d: at m_i >= d_i
     multiplying by x_i never enters the ideal, so m is outside the
-    saturation as well.
+    saturation as well.  The box spans the remaining variables only, and
+    ``_saturation_members`` tests each of its points against the stripped
+    generators directly.
     """
     face = frozenset(face)
     if not all(0 <= i < ideal.n_vars for i in face):
@@ -397,14 +416,12 @@ def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
     stripped = strip_variables(ideal, face)
     if stripped.is_unit:
         return 0
-    sat = face_saturation(stripped, outside)
     bounds = stripped.max_exponents()
-    ranges = [range(bounds[i]) if i in outside else range(1) for i in range(ideal.n_vars)]
-    points = _box_points(ranges)
+    points = _box_points([range(bounds[j]) for j in outside])
     if not len(points):
         return 0
-    gap = _contains_many(points, sat) & ~_contains_many(points, stripped)
-    return int(gap.sum())
+    in_ideal, in_saturation = _saturation_members(points, _gens_array(stripped)[:, outside])
+    return int((in_saturation & ~in_ideal).sum())
 
 
 def _face_masks(n: int) -> list[int]:

@@ -17,9 +17,14 @@ The exact sequences of the additivity checks need integer kernels and the
 saturated torsion sublattice; ``kernel_columns`` finds a kernel by bringing
 [A; I] to column echelon form with unimodular column operations, and the
 saturation of the column space is the kernel of the left kernel, found by two
-such calls.  Only the oracles call these two routines, but they stay here:
-the benchmark's tracer (``perfbench/worker.py``) times them as ``zmodule``
-calls, and its tests pin that lookup.
+such calls.  Each round on a row pivots, as the reduction does, on the least
+nonzero absolute value (among the columns not yet pivoted, ties by lowest
+column), made positive; every other column subtracts the nearest-integer
+multiple of the pivot column, in place and over that row and the rows below
+it only, and the rounds repeat until the pivot alone is nonzero in the row.
+Only the oracles call these two routines, but they stay here: the
+benchmark's tracer (``perfbench/worker.py``) times them as ``zmodule`` calls,
+and its tests pin that lookup.
 
 Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
 10^6 by default) with one early exit: once the divisor reaches
@@ -40,6 +45,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 from .errors import FactorBoundError
@@ -158,57 +164,80 @@ def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
     return [a[i][i] for i in range(t)]
 
 
-def _divisibility_chain(diag: Sequence[int]) -> list[int]:
-    from math import gcd
+def _divisibility_chain(d: list[int]) -> list[int]:
+    """Turn the positive diagonal ``d`` in place into a divisibility chain.
 
-    d = list(diag)
+    Each pass replaces an adjacent pair (a, b) with a not dividing b by
+    (gcd, lcm), which keeps the product of every prime's powers; the pass
+    that changes nothing ends the loop.
+    """
     changed = True
     while changed:
         changed = False
         for i in range(len(d) - 1):
-            if d[i + 1] % d[i]:
-                g = gcd(d[i], d[i + 1])
-                d[i], d[i + 1] = g, d[i] * d[i + 1] // g
+            a, b = d[i], d[i + 1]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[i + 1] = g, a // g * b
                 changed = True
     return d
 
 
 def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
     # a matrix and its transpose have the same invariant factors
-    diag = _smith_reduce([list(col) for col in pres.relations], pres.generators)
-    chain = _divisibility_chain(diag)
-    return ZNormalForm(
-        free_rank=pres.generators - len(diag),
-        invariant_factors=tuple(d for d in chain if d != 1),
-    )
+    chain = _divisibility_chain(_smith_reduce(list(map(list, pres.relations)), pres.generators))
+    # the chain is ordered by divisibility, so its units come first
+    return ZNormalForm(pres.generators - len(chain), tuple(chain[chain.count(1) :]))
 
 
 def kernel_columns(k: int, columns: Sequence[Vector]) -> list[Vector]:
     """Basis of the integer kernel of the k-row matrix A with the given columns.
 
     Unimodular column operations bring [A; I] to column echelon form, row by
-    row of A: the column whose entry in the row is smallest in absolute value
-    reduces the others until it alone is nonzero there.  The columns whose A
-    part ends up zero then hold a kernel basis in their identity part.
+    row of A.  Each round on row r pivots on the entry of least absolute
+    value among the columns not yet pivoted (ties by lowest column), made
+    positive, and every other column subtracts the nearest-integer multiple
+    of the pivot column, leaving a remainder of at most half the pivot; the
+    rounds repeat until the pivot alone is nonzero in row r.  Earlier pivots
+    left those columns zero in the rows above r, so each operation runs over
+    rows r.. only.  The columns whose A part ends up zero hold a kernel basis
+    in their identity part.
     """
     m = len(columns)
-    cols = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(columns)]
+    n = k + m
+    cols = []
+    for j, col in enumerate(columns):
+        c = list(col) + [0] * m
+        c[k + j] = 1
+        cols.append(c)
     t = 0
     for r in range(k):
         while True:
-            live = [j for j in range(t, m) if cols[j][r]]
-            if not live:
+            least = 0
+            for j in range(t, m):
+                x = abs(cols[j][r])
+                if x and (x < least or not least):
+                    least, p = x, j
+            if not least:
                 break
-            p = min(live, key=lambda j: abs(cols[j][r]))
             cols[t], cols[p] = cols[p], cols[t]
-            if len(live) == 1:
+            pivot = cols[t]
+            if pivot[r] < 0:
+                pivot[r:] = [-x for x in pivot[r:]]
+            half = least // 2
+            clean = True
+            for j in range(t + 1, m):
+                c = cols[j]
+                if c[r]:
+                    q = (c[r] + half) // least
+                    if q:
+                        for i in range(r, n):
+                            c[i] -= q * pivot[i]
+                    if c[r]:
+                        clean = False
+            if clean:
                 t += 1
                 break
-            pivot = cols[t]
-            for j in range(t + 1, m):
-                q = cols[j][r] // pivot[r]
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], pivot)]
     return [tuple(col[k:]) for col in cols[t:]]
 
 
@@ -334,8 +363,21 @@ def count_prime_factors(n: int, bound: int | None = None) -> int:
     return sum(factorize(n, bound).values())
 
 
+def prime_exponents(n: int, bound: int | None = None) -> tuple[int, ...]:
+    """Exponents of the prime factorization of n, in increasing order of prime."""
+    return _prime_exponents(n, _factor_bound(bound))
+
+
+@lru_cache(maxsize=256)
+def _prime_exponents(n: int, limit: int) -> tuple[int, ...]:
+    # memoised because a ring's integer generator is tested for squarefreeness
+    # where its text is parsed and factored again for its prime count in
+    # length_core
+    return tuple(factorize(n, limit).values())
+
+
 def is_squarefree(n: int, bound: int | None = None) -> bool:
-    return all(e == 1 for e in factorize(n, bound).values())
+    return all(e == 1 for e in prime_exponents(n, bound))
 
 
 def is_prime(n: int, bound: int | None = None) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenkrull import cli, zmodule
+from lenkrull import cli, oracles, zmodule
 from lenkrull.errors import ParseError, SizeBoundError
 from lenkrull.ordinal import Ordinal
 
@@ -72,6 +72,22 @@ def test_gf_ring_factorizes_its_characteristic_once(monkeypatch):
     assert calls.count(p) == 1
 
 
+def test_ring_factorizes_its_integer_generator_once(monkeypatch):
+    m = 99_999_999_977
+    calls = []
+    real = zmodule.factorize
+
+    def counted(n, bound=None):
+        calls.append(n)
+        return real(n, bound)
+
+    monkeypatch.setattr(zmodule, "factorize", counted)
+    zmodule._prime_exponents.cache_clear()
+    code, _ = run(f"ring 'Z[x,y]' --ideal '{m}, x^2, y^3'")
+    assert code == 0
+    assert calls.count(m) == 1
+
+
 def test_negative_factor_bound_is_refused(monkeypatch):
     monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "-10")
     code, text = run("zmodule --matrix '[[91]]'")
@@ -87,6 +103,42 @@ def test_verify_oracle_equivalence_suite():
     report = json.loads(text)
     assert report["ok"]
     assert report["suites"][0]["checked"] == 20
+
+
+class TestTrialBound:
+    TOO_MANY = "verify --suite sigmaprime --trials 100000000000000000000"
+    REFUSAL = (
+        "error[size-bound]: --trials 100000000000000000000 is above the bound "
+        f"MAX_TRIALS = {oracles.MAX_TRIALS}"
+    )
+
+    def test_refused_before_any_trial(self, monkeypatch):
+        def never(trials, seed):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(oracles, "check_sigmaprime_artinian_kernel", never)
+        assert run(self.TOO_MANY) == (1, self.REFUSAL)
+
+    def test_the_bound_itself_is_accepted(self, monkeypatch):
+        def passing(trials, seed):
+            return oracles.VerifyReport("additivity", trials, seed, trials)
+
+        monkeypatch.setattr(oracles, "check_additivity_z", passing)
+        code, text = run(f"verify --suite additivity --trials {oracles.MAX_TRIALS} --output json")
+        assert code == 0
+        assert json.loads(text)["suites"][0]["checked"] == oracles.MAX_TRIALS
+
+    def test_batch_answers_the_lines_after_the_refusal(self, tmp_path):
+        batch = tmp_path / "requests.txt"
+        batch.write_text(
+            f"zmodule --matrix '[[2]]'\n{self.TOO_MANY}\nzmodule --matrix '[[2]]'\n"
+            "verify --suite sigmaprime --trials 3 --seed 1\n",
+            encoding="utf-8",
+        )
+        code, outputs = cli.run_batch(str(batch), "text")
+        assert code == 1
+        assert outputs[:3] == [GOLDEN_Z_MOD_2_TEXT, self.REFUSAL, GOLDEN_Z_MOD_2_TEXT]
+        assert outputs[3].endswith("checked=3 failures=0 ok\noverall: ok")
 
 
 GOLDEN_Z_MOD_2_JSON = (

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lenkrull import oracles
 from lenkrull.errors import SizeBoundError
 from lenkrull.monomial import (
     MAX_CELLS,
@@ -17,7 +19,8 @@ from lenkrull.monomial import (
 )
 from lenkrull.oracles import (
     StandardPair,
-    face_saturation,
+    _gens_array,
+    _saturation_members,
     local_multiplicity_oracle,
     standard_pairs,
     strip_variables,
@@ -66,6 +69,24 @@ def _saturation_member(ideal: MonomialIdeal, m: tuple[int, ...], variables) -> b
         if not ideal.contains(shifted):
             return False
     return True
+
+
+def face_saturation(ideal: MonomialIdeal, variables) -> MonomialIdeal:
+    """Intersection of the single-variable saturations over ``variables``.
+
+    This is the colon by any power of the ideal generated by those variables.
+    Two monomial ideals meet in the ideal of their generators' pairwise least
+    common multiples.  An empty variable set returns the ideal unchanged.
+    """
+    out = None
+    for j in variables:
+        sat = strip_variables(ideal, (j,))
+        if out is not None:
+            sat = minimalize(
+                ideal.n_vars, [tuple(map(max, g, h)) for g in out.gens for h in sat.gens]
+            )
+        out = sat
+    return ideal if out is None else out
 
 
 class TestMinimalize:
@@ -158,6 +179,38 @@ class TestFaceSaturation:
             assert sat.contains(m) == _saturation_member(
                 ideal, m, range(ideal.n_vars)
             )
+
+
+class TestSaturationMembers:
+    @given(ideals(max_vars=4, max_gens=6, max_exp=4), st.integers(0, 15))
+    def test_matches_membership_in_the_face_saturation(self, ideal, mask):
+        """The oracle's rule (for each variable j outside the face, some
+        stripped generator divides m in every coordinate but j) agrees with
+        membership in the saturation built from pairwise lcms."""
+        face = [i for i in range(ideal.n_vars) if (mask >> i) & 1]
+        outside = [j for j in range(ideal.n_vars) if j not in face]
+        if not outside:
+            return
+        stripped = strip_variables(ideal, face)
+        sat = face_saturation(stripped, outside)
+        top = max(stripped.max_exponents()) + 2
+        box = list(itertools.product(range(top), repeat=len(outside)))
+        points = np.array(box, dtype=np.int64).reshape(len(box), len(outside))
+        in_ideal, in_sat = _saturation_members(points, _gens_array(stripped)[:, outside])
+        for m, member, saturated in zip(box, in_ideal, in_sat):
+            full = [0] * ideal.n_vars
+            for j, e in zip(outside, m):
+                full[j] = e
+            assert member == stripped.contains(tuple(full))
+            assert saturated == sat.contains(tuple(full))
+
+    def test_blocks_agree_with_one_block(self, monkeypatch):
+        gens = np.array([(3, 0, 1), (0, 2, 2), (1, 1, 0), (2, 0, 0)], dtype=np.int64)
+        points = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.int64)
+        whole = _saturation_members(points, gens)
+        monkeypatch.setattr(oracles, "BLOCK_ENTRIES", 5)
+        blocked = _saturation_members(points, gens)
+        assert all((a == b).all() for a, b in zip(whole, blocked))
 
 
 class TestLocalMultiplicityOracle:

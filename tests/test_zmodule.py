@@ -168,19 +168,28 @@ def _maximal_minor_gcd(vectors, n: int) -> int:
     return g
 
 
+def _check_kernel(pres: ZPresentation) -> None:
+    """The kernel basis annihilates, has the right size, and is saturated."""
+    basis = kernel_columns(pres.generators, pres.relations)
+    rank = pres.generators - smith_normal_form(pres).free_rank
+    assert len(basis) == len(pres.relations) - rank
+    for vec in basis:
+        image = [
+            sum(col[i] * c for col, c in zip(pres.relations, vec))
+            for i in range(pres.generators)
+        ]
+        assert not any(image)
+    assert _maximal_minor_gcd(basis, len(pres.relations)) == 1
+
+
 class TestKernels:
     @given(presentations())
     def test_kernel_vectors_annihilate_and_count(self, pres):
-        basis = kernel_columns(pres.generators, pres.relations)
-        rank = pres.generators - smith_normal_form(pres).free_rank
-        assert len(basis) == len(pres.relations) - rank
-        for vec in basis:
-            image = [
-                sum(col[i] * c for col, c in zip(pres.relations, vec))
-                for i in range(pres.generators)
-            ]
-            assert not any(image)
-        assert _maximal_minor_gcd(basis, len(pres.relations)) == 1
+        _check_kernel(pres)
+
+    @given(presentations(bound=10**12))
+    def test_kernel_vectors_annihilate_and_count_on_large_entries(self, pres):
+        _check_kernel(pres)
 
     @given(presentations())
     def test_torsion_lattice_basis(self, pres):

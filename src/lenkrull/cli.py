@@ -10,7 +10,15 @@ Subcommands:
   ``{"generators": k, "relations": [...]}``.
 * ``localpid --free R --torsion "i:n,..."``: the closed forms over a local
   principal domain with infinite residue field.
-* ``verify --suite NAME --trials N --seed S``: the brute-force suites.
+* ``verify --suite NAME --trials N --seed S``: the brute-force suites.  Each
+  randomized suite bounds N by its own ``oracles.MAX_TRIALS`` entry, and
+  ``--suite all`` takes the smallest.
+
+An ideal (``--ideal``, or each piece of ``--pieces``) is comma-separated
+generators: monomials such as ``x^2*y`` and at most one integer.  Each factor
+of a monomial is read with one compiled-regex match through
+``Scanner.match``; input the pattern does not read is re-read by the
+Scanner's primitives, so every refusal carries the Scanner's message and span.
 
 ``--output text|json`` before the subcommand (or with ``--batch``) sets the
 default rendering; one given to the subcommand or on a batch line wins.
@@ -137,52 +145,68 @@ def parse_ring(text: str) -> RingDescriptor:
     return RingDescriptor(base, char, tuple(names))
 
 
-def _parse_monomial(sc: Scanner, ring: RingDescriptor) -> tuple[int, ...]:
-    exps = [0] * len(ring.vars)
-    index = {name: i for i, name in enumerate(ring.vars)}
-    while True:
-        sc.skip_ws()
-        if sc.peek().isdecimal():
-            start = sc.pos
-            value = sc.nat()
-            if value != 1:
-                sc.error("only the monomial 1 may appear as a bare number here", start)
-        else:
-            start = sc.pos
-            name = sc.ident()
-            if name not in index:
-                sc.error(f"unknown variable {name!r}", start)
-            power = sc.nat() if sc.try_lit("^") else 1
-            exps[index[name]] += power
-        if not sc.try_lit("*"):
-            return tuple(exps)
+# A factor of a generator with the whitespace around it: a name with an
+# optional ^exponent (a ^ needs one), the unit monomial's literal 1, or any
+# other number.  A name class wider than ``Scanner.ident``'s only matters for
+# names that are not variables, which the primitives re-read.
+_FACTOR = re.compile(r"\s*(?:([^\W\d]\w*)\b(?:\s*\^\s*(\d+)|(?!\s*\^))|(1(?!\d))|(\d+))\s*")
 
 
-def _at_unit_monomial(sc: Scanner) -> bool:
-    """True when the next token is the single digit 1 (the unit monomial)."""
+def _factor(sc: Scanner, index: dict[str, int]) -> tuple[int, int, int]:
+    """The next factor and the whitespace after it: (variable index,
+    exponent, start), or (-1, value, start) for a bare number, start being
+    the position of its first character.
+
+    One match of ``_FACTOR`` reads a factor that names a variable or holds a
+    number ``int`` accepts.  Anything else is re-read by the Scanner's
+    primitives, which raise their own message and span: an unknown or
+    malformed name, a ``^`` without a number, a number past the digit limit.
+    """
+    begin = sc.pos
+    m = sc.match(_FACTOR)
+    if m is not None:
+        name, power, one, number = m.groups()
+        try:
+            if name in index:
+                return index[name], 1 if power is None else int(power), m.start(1)
+            if name is None:
+                return -1, 1 if one else int(number), m.start(3 if one else 4)
+        except ValueError:
+            pass  # int() refuses text past the digit limit
+        sc.pos = begin
     sc.skip_ws()
-    if sc.pos >= len(sc.text) or sc.text[sc.pos] != "1":
-        return False
-    nxt = sc.pos + 1
-    return nxt >= len(sc.text) or not sc.text[nxt].isdecimal()
+    start = sc.pos
+    if sc.peek().isdecimal():
+        var, value = -1, sc.nat()
+    else:
+        name = sc.ident()
+        if name not in index:
+            sc.error(f"unknown variable {name!r}", start)
+        var, value = index[name], sc.nat() if sc.try_lit("^") else 1
+    sc.skip_ws()
+    return var, value, start
 
 
 def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
     """Comma-separated generators: monomials and at most one integer, in any order.
 
-    The bare digit 1 reads as the unit monomial (valid over every base and
-    equivalent to an integer generator 1 over the integers); any other bare
-    number is an integer generator, and 0 contributes nothing.
+    A monomial is factors joined by ``*``, each read by ``_factor``.  The bare
+    digit 1 reads as the unit monomial (valid over every base and equivalent
+    to an integer generator 1 over the integers), and a later factor may be any
+    number of value 1; any other bare number starting a generator is an
+    integer generator, and 0 contributes nothing.  A factor's whitespace is
+    read with it, so a separator starts at ``sc.pos``.
     """
+    index = {name: i for i, name in enumerate(ring.vars)}
+    text = sc.text
     integer_part = 0
     monomials: list[tuple[int, ...]] = []
     sc.skip_ws()
     empty = sc.eof() if not stop else sc.peek() == stop
     while not empty:
-        sc.skip_ws()
-        if sc.peek().isdecimal() and not _at_unit_monomial(sc):
-            start = sc.pos
-            value = sc.nat()
+        var, value, start = _factor(sc, index)
+        # a number is the unit monomial only when its text is the digit 1
+        if var < 0 and not (value == 1 and text[start] == "1"):
             if value == 0:
                 pass  # contributes nothing
             elif ring.base != "Z":
@@ -196,14 +220,25 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
             elif ring.vars and not is_squarefree(value):
                 raise UnsupportedError(
                     f"integer generator {value} is not squarefree (position {start})",
-                    (start, sc.pos),
+                    (start, start + len(text[start : sc.pos].rstrip())),
                 )
             else:
                 integer_part = value
         else:
-            monomials.append(_parse_monomial(sc, ring))
-        if not sc.try_lit(","):
+            exps = [0] * len(index)
+            while True:
+                if var >= 0:
+                    exps[var] += value
+                elif value != 1:
+                    sc.error("only the monomial 1 may appear as a bare number here", start)
+                if not text.startswith("*", sc.pos):
+                    break
+                sc.pos += 1
+                var, value, start = _factor(sc, index)
+            monomials.append(tuple(exps))
+        if not text.startswith(",", sc.pos):
             break
+        sc.pos += 1
     ideal = minimalize(len(ring.vars), monomials)
     return CyclicPiece(integer_part, ideal)
 
@@ -487,11 +522,14 @@ def _run_verify(req: Request) -> tuple[int, dict]:
     seed = _parse_int_option("seed", opts.get("seed", "0"))
     if trials < 0:
         raise ParseError("--trials must be non-negative")
-    if trials > oracles.MAX_TRIALS:
-        raise SizeBoundError(
-            f"--trials {trials} is above the bound MAX_TRIALS = {oracles.MAX_TRIALS}"
-        )
     names = SUITES[:-1] if suite == "all" else (suite,)
+    # the smallest bound among the suites that run trials; caractl runs none
+    bounded = [name for name in names if name in oracles.MAX_TRIALS]
+    if bounded:
+        name = min(bounded, key=oracles.MAX_TRIALS.get)
+        bound = oracles.MAX_TRIALS[name]
+        if trials > bound:
+            raise SizeBoundError(f"--trials {trials} is above the bound MAX_TRIALS[{name!r}] = {bound}")
     reports = []
     for name in names:
         if name == "caractl":

@@ -1,7 +1,13 @@
 """Monomial-ideal engine: standard-pair counts per face.
 
 Monomials are exponent tuples; an ideal is its minimal generating set, which
-the ``MonomialIdeal`` constructor extracts from any generating set.  A
+the ``MonomialIdeal`` constructor extracts from any generating set by one
+bitmask sweep over the generators in lexicographic order.  Generator j starts
+with the bitmask of the generators before it as its candidate divisors, each
+other coordinate ANDs in the mask of the generators whose exponent there is at
+most j's, and j is minimal when no candidate is left.  The masks take about
+g^2/16 bytes for g generators, so ``MAX_GENERATORS`` bounds g before the
+sweep; ``oracles.minimal_generators`` is the quadratic reference.  A
 face is a set of variable indices, and a standard pair ``(root, face)`` is a
 maximal admissible pair: the root has no support on the face, the root is not
 in the ideal obtained by deleting the face variables from every generator,
@@ -61,6 +67,7 @@ counts no faces never loads it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect_left
@@ -73,6 +80,8 @@ Monomial = tuple[int, ...]
 
 # hard cap on the cells a face count may visit, over all faces
 MAX_CELLS = 2_000_000
+# hard cap on the distinct generators of one ideal, for the dominance sweep
+MAX_GENERATORS = 20_000
 
 
 @dataclass(frozen=True)
@@ -81,22 +90,27 @@ class MonomialIdeal:
 
     The constructor accepts any generating set of exponent tuples and keeps
     the generators that no other one divides, sorted and duplicate-free, so
-    equal ideals compare equal.
+    equal ideals compare equal.  More than ``MAX_GENERATORS`` distinct
+    generators are refused before any sorting: the sweep's masks hold about
+    g^2/16 bytes for g of them.
     """
 
     n_vars: int
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        minimal: list[Monomial] = []
-        # a proper divisor sorts first, and a dominated generator's divisor is
-        # itself divisible by a kept one, so testing the kept ones suffices
-        for g in sorted(set(self.gens)):
-            if len(g) != self.n_vars or any(e < 0 for e in g):
-                raise ValueError(f"bad exponent vector {g} for {self.n_vars} variables")
-            if not any(_divides(h, g) for h in minimal):
-                minimal.append(g)
-        object.__setattr__(self, "gens", tuple(minimal))
+        distinct = set(self.gens)
+        if len(distinct) > MAX_GENERATORS:
+            raise SizeBoundError(
+                f"the ideal has {len(distinct)} distinct generators, "
+                f"above the bound MAX_GENERATORS = {MAX_GENERATORS}"
+            )
+        gens = sorted(distinct)
+        n = self.n_vars
+        for g in gens:
+            if len(g) != n or (g and min(g) < 0):
+                raise ValueError(f"bad exponent vector {g} for {n} variables")
+        object.__setattr__(self, "gens", _undominated(gens))
 
     @property
     def is_zero(self) -> bool:
@@ -119,9 +133,36 @@ def _divides(g: Monomial, m: Monomial) -> bool:
     return all(map(operator.le, g, m))
 
 
+def _undominated(gens: list[Monomial]) -> tuple[Monomial, ...]:
+    """The generators of the sorted, duplicate-free list ``gens`` that no
+    other one divides, in order.
+
+    A proper divisor sorts first, so the candidate divisors of generator j
+    start as the bitmask of the generators before it, and coordinate 0 rules
+    none of them out.  Each later coordinate clears the candidates with a
+    larger exponent there, in one walk in order of (exponent, index): at j the
+    walk has passed exactly the generators whose exponent is smaller, or equal
+    with a smaller index.  Generator j is minimal when no candidate is left,
+    and the sweep stops once none is left for any generator.  The masks hold
+    about g^2/16 bytes at first and only shrink; the walks cost O(g log g)
+    comparisons and O(g^2 / word size) word operations per coordinate.
+    """
+    masks = [(1 << j) - 1 for j in range(len(gens))]
+    columns = zip(*gens)
+    next(columns, None)
+    for column in columns:
+        if not any(masks):
+            break
+        passed = 0
+        for j in sorted(range(len(gens)), key=column.__getitem__):
+            masks[j] &= passed
+            passed |= 1 << j
+    return tuple(itertools.compress(gens, map(operator.not_, masks)))
+
+
 def minimalize(n_vars: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """The ideal generated by ``gens``, given by its minimal generators."""
-    return MonomialIdeal(n_vars, tuple(tuple(int(e) for e in g) for g in gens))
+    return MonomialIdeal(n_vars, tuple([tuple(map(int, g)) for g in gens]))
 
 
 def _mask_vars(mask: int) -> tuple[int, ...]:

@@ -28,7 +28,10 @@ named below; everything else is computed here, apart from the engines:
   face variables deleted) divides m in every coordinate but j; the oracle
   tests that on the generators directly, without building the saturation.
   ``minimalize`` builds the sampled ideals, and the counts are compared with
-  ``face_counts`` at every face.
+  ``face_counts`` at every face;
+* ``minimal_generators``: the quadratic sweep that tests each sorted
+  generator against every kept one, the reference for the bitmask sweep in
+  ``MonomialIdeal``'s constructor.
 
 Sampling is driven by an explicit seed, so every report is reproducible.
 numpy is imported at first use, by the box helpers (``_gens_array``,
@@ -39,6 +42,7 @@ that enumerate no box never load it.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -67,8 +71,11 @@ BLOCK_ENTRIES = 1 << 15
 MAX_GROUP_ORDER = 1_000
 # caractl checks every abelian group of order up to this bound
 CARACTL_MAX_ORDER = 100
-# most trials one randomized suite may be asked to run
-MAX_TRIALS = 100_000
+# most trials each randomized suite may be asked to run: per trial,
+# additivity costs about 1.6 and oracle-equivalence about 6-7 sigmaprime
+# trials, so each suite at its bound runs about as long as sigmaprime at its
+# own; caractl runs a fixed set of groups and takes no trial count
+MAX_TRIALS = {"additivity": 60_000, "sigmaprime": 100_000, "oracle-equivalence": 15_000}
 
 
 @dataclass(frozen=True)
@@ -312,6 +319,21 @@ class StandardPair:
 
     root: Monomial
     face: frozenset[int]
+
+
+def minimal_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The generators that no other one divides, sorted and duplicate-free.
+
+    Each distinct generator, in sorted order, is kept unless a kept one
+    divides it: a proper divisor sorts first, and a dominated generator's
+    divisor is itself divisible by a kept one, so testing the kept ones
+    suffices.
+    """
+    minimal: list[Monomial] = []
+    for g in sorted(set(gens)):
+        if not any(all(map(operator.le, h, g)) for h in minimal):
+            minimal.append(g)
+    return tuple(minimal)
 
 
 def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:

@@ -1,11 +1,15 @@
-"""Character scanner shared by the small grammars (rings, ideals, ordinals, ...).
+r"""Character scanner shared by the small grammars (rings, ideals, ordinals, ...).
 
 Whitespace between tokens is skipped; every error is a ``ParseError`` whose
-message ends in ``at position N`` and whose span is ``(N, N + 1)``.
+message ends in ``at position N`` and whose span is ``(N, N + 1)``.  A grammar
+may read a whole token with ``match`` and one compiled pattern; for str
+patterns ``\s``, ``\d`` and ``\w`` are exactly ``isspace``, ``isdecimal`` and
+``isalnum`` or ``_``, the classes the primitives below test.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .errors import ParseError
@@ -38,6 +42,14 @@ class Scanner:
             self.pos += len(lit)
             return True
         return False
+
+    def match(self, pattern: re.Pattern) -> re.Match | None:
+        """``pattern`` matched at the current position, which moves past the
+        match; None, with the position unchanged, when it does not match."""
+        m = pattern.match(self.text, self.pos)
+        if m is not None:
+            self.pos = m.end()
+        return m
 
     def expect_lit(self, lit: str):
         if not self.try_lit(lit):

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenkrull import cli, oracles, zmodule
-from lenkrull.errors import ParseError, SizeBoundError
+from lenkrull.errors import LenkrullError, ParseError, SizeBoundError, UnsupportedError
+from lenkrull.length_core import CyclicPiece, ModuleDescriptor
+from lenkrull.monomial import MAX_GENERATORS, minimalize
 from lenkrull.ordinal import Ordinal
+from lenkrull.scan import Scanner
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -109,8 +112,20 @@ class TestTrialBound:
     TOO_MANY = "verify --suite sigmaprime --trials 100000000000000000000"
     REFUSAL = (
         "error[size-bound]: --trials 100000000000000000000 is above the bound "
-        f"MAX_TRIALS = {oracles.MAX_TRIALS}"
+        f"MAX_TRIALS['sigmaprime'] = {oracles.MAX_TRIALS['sigmaprime']}"
     )
+    RUNNERS = {
+        "additivity": "check_additivity_z",
+        "sigmaprime": "check_sigmaprime_artinian_kernel",
+        "oracle-equivalence": "check_oracle_equivalence",
+    }
+
+    def test_each_suite_has_its_own_bound(self):
+        assert oracles.MAX_TRIALS == {
+            "additivity": 60_000,
+            "sigmaprime": 100_000,
+            "oracle-equivalence": 15_000,
+        }
 
     def test_refused_before_any_trial(self, monkeypatch):
         def never(trials, seed):
@@ -119,14 +134,40 @@ class TestTrialBound:
         monkeypatch.setattr(oracles, "check_sigmaprime_artinian_kernel", never)
         assert run(self.TOO_MANY) == (1, self.REFUSAL)
 
-    def test_the_bound_itself_is_accepted(self, monkeypatch):
-        def passing(trials, seed):
-            return oracles.VerifyReport("additivity", trials, seed, trials)
+    def passing(self, monkeypatch, names):
+        for name in names:
+            monkeypatch.setattr(
+                oracles,
+                self.RUNNERS[name],
+                lambda trials, seed, name=name: oracles.VerifyReport(name, trials, seed, trials),
+            )
 
-        monkeypatch.setattr(oracles, "check_additivity_z", passing)
-        code, text = run(f"verify --suite additivity --trials {oracles.MAX_TRIALS} --output json")
+    def test_the_bound_itself_is_accepted(self, monkeypatch):
+        self.passing(monkeypatch, self.RUNNERS)
+        for suite, bound in oracles.MAX_TRIALS.items():
+            code, text = run(f"verify --suite {suite} --trials {bound} --output json")
+            assert code == 0
+            assert json.loads(text)["suites"][0]["checked"] == bound
+            assert run(f"verify --suite {suite} --trials {bound + 1}") == (
+                1,
+                f"error[size-bound]: --trials {bound + 1} is above the bound "
+                f"MAX_TRIALS[{suite!r}] = {bound}",
+            )
+
+    def test_all_suites_take_the_smallest_bound(self, monkeypatch):
+        self.passing(monkeypatch, self.RUNNERS)
+        monkeypatch.setattr(
+            oracles, "run_length_recursion_suite", lambda: oracles.VerifyReport("caractl", 1, None, 1)
+        )
+        bound = min(oracles.MAX_TRIALS.values())
+        code, text = run(f"verify --suite all --trials {bound} --output json")
         assert code == 0
-        assert json.loads(text)["suites"][0]["checked"] == oracles.MAX_TRIALS
+        assert [s["checked"] for s in json.loads(text)["suites"]] == [1, bound, bound, bound]
+        assert run(f"verify --trials {bound + 1}") == (
+            1,
+            f"error[size-bound]: --trials {bound + 1} is above the bound "
+            f"MAX_TRIALS['oracle-equivalence'] = {bound}",
+        )
 
     def test_batch_answers_the_lines_after_the_refusal(self, tmp_path):
         batch = tmp_path / "requests.txt"
@@ -336,6 +377,21 @@ class TestIntegerTextLimits:
         )
 
 
+def test_batch_answers_the_lines_after_a_refused_ideal_size(tmp_path):
+    too_many = ", ".join(f"x^{i}*y^{MAX_GENERATORS - i}" for i in range(MAX_GENERATORS + 1))
+    batch = tmp_path / "requests.txt"
+    batch.write_text(
+        f"zmodule --matrix '[[2]]'\nring 'Z[x,y]' --ideal '{too_many}'\n"
+        "ring 'Z[x,y]' --ideal '6, x^2'\n",
+        encoding="utf-8",
+    )
+    refusal = (
+        f"error[size-bound]: the ideal has {MAX_GENERATORS + 1} distinct generators, "
+        f"above the bound MAX_GENERATORS = {MAX_GENERATORS}"
+    )
+    assert cli.run_batch(str(batch), "text") == (1, [GOLDEN_Z_MOD_2_TEXT, refusal, GOLDEN_6_X2])
+
+
 # answers whose counts are products of two inputs within the digit limit
 LONG_ANSWERS = [
     (f"ring 'GF(2)[x,y]' --ideal 'x^{'9' * 2200}, y^{'9' * 2200}'", 4400),
@@ -376,3 +432,147 @@ class TestLongAnswers:
             1,
             [GOLDEN_Z_MOD_2_TEXT, *refusals, GOLDEN_Z_MOD_2_TEXT],
         )
+
+
+# -- the ideal parser against the character-by-character Scanner parser ------
+
+
+def _scanner_monomial(sc, ring):
+    exps = [0] * len(ring.vars)
+    index = {name: i for i, name in enumerate(ring.vars)}
+    while True:
+        sc.skip_ws()
+        if sc.peek().isdecimal():
+            start = sc.pos
+            value = sc.nat()
+            if value != 1:
+                sc.error("only the monomial 1 may appear as a bare number here", start)
+        else:
+            start = sc.pos
+            name = sc.ident()
+            if name not in index:
+                sc.error(f"unknown variable {name!r}", start)
+            power = sc.nat() if sc.try_lit("^") else 1
+            exps[index[name]] += power
+        if not sc.try_lit("*"):
+            return tuple(exps)
+
+
+def _at_unit_monomial(sc) -> bool:
+    sc.skip_ws()
+    if sc.pos >= len(sc.text) or sc.text[sc.pos] != "1":
+        return False
+    nxt = sc.pos + 1
+    return nxt >= len(sc.text) or not sc.text[nxt].isdecimal()
+
+
+def scanner_parse_gens(sc, ring, stop):
+    """The ideal parser as it read one character at a time, before its factors
+    were read by one regex match each: the oracle for ``cli._parse_gens``."""
+    integer_part = 0
+    monomials = []
+    sc.skip_ws()
+    empty = sc.eof() if not stop else sc.peek() == stop
+    while not empty:
+        sc.skip_ws()
+        if sc.peek().isdecimal() and not _at_unit_monomial(sc):
+            start = sc.pos
+            value = sc.nat()
+            if value == 0:
+                pass
+            elif ring.base != "Z":
+                sc.error(f"integer generator {value} is not allowed over {ring}", start)
+            elif integer_part:
+                sc.error(
+                    f"a second integer generator {value} (after {integer_part}); "
+                    "at most one is allowed",
+                    start,
+                )
+            elif ring.vars and not zmodule.is_squarefree(value):
+                raise UnsupportedError(
+                    f"integer generator {value} is not squarefree (position {start})",
+                    (start, sc.pos),
+                )
+            else:
+                integer_part = value
+        else:
+            monomials.append(_scanner_monomial(sc, ring))
+        if not sc.try_lit(","):
+            break
+    return CyclicPiece(integer_part, minimalize(len(ring.vars), monomials))
+
+
+def scanner_parse_ideal(ring, text):
+    sc = Scanner(text)
+    piece = scanner_parse_gens(sc, ring, stop="")
+    if not sc.eof():
+        sc.error("unexpected trailing input")
+    return piece
+
+
+def scanner_parse_module(ring, text):
+    sc = Scanner(text)
+    pieces = []
+    while True:
+        sc.expect_lit("(")
+        pieces.append(scanner_parse_gens(sc, ring, stop=")"))
+        sc.expect_lit(")")
+        if sc.eof():
+            break
+        sc.expect_lit("(+)")
+    return ModuleDescriptor(ring, pieces=tuple(pieces))
+
+
+def outcome(parse, ring, text):
+    """The parse result, or the refusal's class, message and span."""
+    try:
+        return parse(ring, text)
+    except LenkrullError as exc:
+        return type(exc).__name__, exc.message, exc.span
+
+
+RINGS = [cli.parse_ring(spec) for spec in ("Z[x,y,é,xy]", "GF(2)[x,y]", "Z")]
+
+
+class TestIdealParser:
+    # variable names (é beyond ASCII, z unknown), digits, the grammar's
+    # punctuation, a space, a superscript two and a full-width one
+    ALPHABET = ["x", "y", "z", "é", "_", "0", "1", "2", "6", "^", "*", ",", "(", ")", "+", " ", "²", "１"]
+
+    @settings(max_examples=1500)
+    @given(st.sampled_from(RINGS), st.lists(st.sampled_from(ALPHABET), max_size=14).map("".join))
+    def test_matches_the_scanner_parser(self, ring, text):
+        assert outcome(cli.parse_ideal, ring, text) == outcome(scanner_parse_ideal, ring, text)
+        assert outcome(cli.parse_module, ring, text) == outcome(scanner_parse_module, ring, text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x^²", ("ParseError", "expected a natural number at position 2", (2, 3))),
+            ("01", CyclicPiece(1, minimalize(4, []))),
+            ("1*x", CyclicPiece(0, minimalize(4, [(1, 0, 0, 0)]))),
+            ("6*x", ("ParseError", "unexpected trailing input at position 1", (1, 2))),
+            ("0*x", ("ParseError", "unexpected trailing input at position 1", (1, 2))),
+            ("1 2", ("ParseError", "unexpected trailing input at position 2", (2, 3))),
+            ("x^", ("ParseError", "expected a natural number at position 2", (2, 3))),
+            ("x,", ("ParseError", "expected an identifier at position 2", (2, 3))),
+            ("x ^ 2 * x", CyclicPiece(0, minimalize(4, [(3, 0, 0, 0)]))),
+            ("z^", ("ParseError", "unknown variable 'z' at position 0", (0, 1))),
+            ("xx^", ("ParseError", "unknown variable 'xx' at position 0", (0, 1))),
+            ("x*2", (
+                "ParseError",
+                "only the monomial 1 may appear as a bare number here at position 2",
+                (2, 3),
+            )),
+            ("x*01*１*y", CyclicPiece(0, minimalize(4, [(1, 1, 0, 0)]))),
+            ("１, é^2*xy", CyclicPiece(1, minimalize(4, [(0, 0, 2, 1)]))),
+            ("²", ("ParseError", "expected an identifier at position 0", (0, 1))),
+            (f"x^{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
+            (f"x*{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
+        ],
+        ids=lambda value: value[:12] if isinstance(value, str) else "",
+    )
+    def test_fixed_cases(self, text, expected):
+        ring = RINGS[0]
+        assert outcome(cli.parse_ideal, ring, text) == expected
+        assert outcome(scanner_parse_ideal, ring, text) == expected

@@ -3,13 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenkrull import oracles
 from lenkrull.errors import SizeBoundError
 from lenkrull.monomial import (
     MAX_CELLS,
+    MAX_GENERATORS,
     MonomialIdeal,
     face_count_vector,
     face_counts,
@@ -131,6 +132,68 @@ class TestMinimalize:
     def test_rejects_a_malformed_exponent_vector(self, gen):
         with pytest.raises(ValueError, match="bad exponent vector"):
             MonomialIdeal(2, ((0, 1), gen))
+
+
+class TestBitmaskSweep:
+    """The constructor's bitmask sweep against the quadratic reference sweep."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.integers(0, 4) | st.integers(0, 10**20), min_size=n, max_size=n).map(
+                        tuple
+                    ),
+                    max_size=40,
+                ),
+            )
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_reference_sweep(self, case, rnd):
+        n, gens = case
+        expected = oracles.minimal_generators(gens)
+        assert MonomialIdeal(n, tuple(gens)).gens == expected
+        repeated = gens + gens[: len(gens) // 2]
+        rnd.shuffle(repeated)
+        assert MonomialIdeal(n, tuple(repeated)).gens == expected
+
+    def test_equal_exponents_do_not_clear_a_divisor(self):
+        gens = ((1, 2, 0), (1, 2, 3), (0, 2, 3), (1, 1, 3), (2, 2, 0))
+        assert MonomialIdeal(3, gens).gens == ((0, 2, 3), (1, 1, 3), (1, 2, 0))
+
+    def test_staircase_is_kept_whole(self):
+        steps = tuple((i, 1400 - i) for i in range(1401))
+        assert MonomialIdeal(2, steps[::-1]).gens == steps
+
+
+class TestGeneratorBound:
+    REFUSAL = (
+        f"the ideal has {MAX_GENERATORS + 1} distinct generators, "
+        f"above the bound MAX_GENERATORS = {MAX_GENERATORS}"
+    )
+
+    @staticmethod
+    def staircase(steps: int):
+        return [(i, steps - 1 - i) for i in range(steps)]
+
+    def test_refused_before_any_sorting(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the generators were sorted")
+
+        gens = self.staircase(MAX_GENERATORS + 1)
+        with monkeypatch.context() as patched, pytest.raises(SizeBoundError) as exc:
+            patched.setattr("builtins.sorted", never)
+            minimalize(2, gens)
+        assert exc.value.message == self.REFUSAL
+
+    def test_the_bound_itself_is_accepted(self):
+        gens = self.staircase(MAX_GENERATORS)
+        assert minimalize(2, gens).gens == tuple(gens)
+        # repeats are not distinct generators
+        assert minimalize(2, gens + gens[:5]).gens == tuple(gens)
 
 
 class TestSaturateVariable:

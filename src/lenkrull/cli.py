@@ -529,7 +529,9 @@ def _run_verify(req: Request) -> tuple[int, dict]:
         name = min(bounded, key=oracles.MAX_TRIALS.get)
         bound = oracles.MAX_TRIALS[name]
         if trials > bound:
-            raise SizeBoundError(f"--trials {trials} is above the bound MAX_TRIALS[{name!r}] = {bound}")
+            raise SizeBoundError(
+                f"--trials {trials} is above the bound MAX_TRIALS[{name!r}] = {bound}"
+            )
     reports = []
     for name in names:
         if name == "caractl":

@@ -157,7 +157,9 @@ class TestTrialBound:
     def test_all_suites_take_the_smallest_bound(self, monkeypatch):
         self.passing(monkeypatch, self.RUNNERS)
         monkeypatch.setattr(
-            oracles, "run_length_recursion_suite", lambda: oracles.VerifyReport("caractl", 1, None, 1)
+            oracles,
+            "run_length_recursion_suite",
+            lambda: oracles.VerifyReport("caractl", 1, None, 1),
         )
         bound = min(oracles.MAX_TRIALS.values())
         code, text = run(f"verify --suite all --trials {bound} --output json")
@@ -537,7 +539,7 @@ RINGS = [cli.parse_ring(spec) for spec in ("Z[x,y,é,xy]", "GF(2)[x,y]", "Z")]
 class TestIdealParser:
     # variable names (é beyond ASCII, z unknown), digits, the grammar's
     # punctuation, a space, a superscript two and a full-width one
-    ALPHABET = ["x", "y", "z", "é", "_", "0", "1", "2", "6", "^", "*", ",", "(", ")", "+", " ", "²", "１"]
+    ALPHABET = list("xyzé_0126^*,()+ ²１")
 
     @settings(max_examples=1500)
     @given(st.sampled_from(RINGS), st.lists(st.sampled_from(ALPHABET), max_size=14).map("".join))

@@ -143,9 +143,7 @@ class TestBitmaskSweep:
             lambda n: st.tuples(
                 st.just(n),
                 st.lists(
-                    st.lists(st.integers(0, 4) | st.integers(0, 10**20), min_size=n, max_size=n).map(
-                        tuple
-                    ),
+                    st.tuples(*[st.integers(0, 4) | st.integers(0, 10**20)] * n),
                     max_size=40,
                 ),
             )

@@ -12,7 +12,8 @@ Subcommands:
   principal domain with infinite residue field.
 * ``verify --suite NAME --trials N --seed S``: the brute-force suites.  Each
   randomized suite bounds N by its own ``oracles.MAX_TRIALS`` entry, and
-  ``--suite all`` takes the smallest.
+  ``--suite all`` takes the smallest.  ``--suite caractl`` checks a fixed set
+  of groups and refuses ``--trials`` and ``--seed``.
 
 An ideal (``--ideal``, or each piece of ``--pieces``) is comma-separated
 generators: monomials such as ``x^2*y`` and at most one integer.  Each factor
@@ -37,6 +38,12 @@ a request given as arguments and for a batch run: 0 success, 1 input error,
 2 verification failure.  A command line that argparse cannot read (an unknown
 command or option, a missing ring, a bad ``--output``) exits 1 with a usage
 message.
+
+Each command line is a fresh process, so what this module imports is paid by
+every request.  ``oracles`` (and ``random`` with it) loads on first use,
+inside ``_run_verify``.  ``Request`` and the engines' value classes are
+written out on ``value.Value`` instead of ``dataclasses``, whose import alone
+(it loads ``inspect``, ``ast`` and ``dis``) cost more than a small request.
 """
 
 from __future__ import annotations
@@ -45,10 +52,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import localpid as localpid_mod
-from . import oracles
 from .errors import LenkrullError, ParseError, SizeBoundError, UnsupportedError
 from .length_core import (
     CBResult,
@@ -63,6 +68,7 @@ from .length_core import (
 )
 from .monomial import minimalize
 from .scan import Scanner
+from .value import Value
 from .zmodule import ZPresentation, is_prime, is_squarefree
 
 OUTPUTS = ("text", "json")
@@ -104,12 +110,22 @@ _COMMANDS: dict[str, tuple[str, str | None, dict[str, str | None]]] = {
 LOCAL_PID_RING_LABEL = "local PID with infinite residue field"
 
 
-@dataclass(frozen=True)
-class Request:
-    command: str
-    ring_spec: str = ""
-    options: tuple[tuple[str, str], ...] = ()
-    output: str = "text"
+class Request(Value):
+    """One parsed request: the command, its ring, its options as strings, the rendering."""
+
+    _fields = ("command", "ring_spec", "options", "output")
+
+    def __init__(
+        self,
+        command: str,
+        ring_spec: str = "",
+        options: tuple[tuple[str, str], ...] = (),
+        output: str = "text",
+    ):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "ring_spec", ring_spec)
+        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "output", output)
 
 
 def parse_ring(text: str) -> RingDescriptor:
@@ -514,10 +530,20 @@ def _run_localpid(req: Request) -> dict:
 
 
 def _run_verify(req: Request) -> tuple[int, dict]:
+    from . import oracles  # loaded here: only verify needs the oracles
+
     opts = dict(req.options)
     suite = opts.get("suite", "all")
     if suite not in SUITES:
         raise ParseError(f"--suite must be one of {SUITES}")
+    if suite == "caractl":
+        given = " or ".join(f"--{key}" for key in ("trials", "seed") if key in opts)
+        if given:
+            raise ParseError(
+                f"--suite caractl takes no {given}: it checks a fixed set of "
+                f"{len(oracles.caractl_groups())} groups, every abelian group of order "
+                f"at most {oracles.CARACTL_MAX_ORDER}"
+            )
     trials = _parse_int_option("trials", opts.get("trials", "100"))
     seed = _parse_int_option("seed", opts.get("seed", "0"))
     if trials < 0:

@@ -33,25 +33,25 @@ tightened to the predecessor when the length is a successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import zmodule
 from .errors import UnsupportedError
 from .monomial import MonomialIdeal, face_count_vector, format_ideal
 from .ordinal import Ordinal
+from .value import Value
 from .zmodule import ZPresentation
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Value):
     """Base ring (Z, Q or GF(p)) with an ordered list of polynomial variables."""
 
-    base: str
-    p: int | None = None
-    vars: tuple[str, ...] = ()
+    _fields = ("base", "p", "vars")
 
-    def __post_init__(self):
+    def __init__(self, base: str, p: int | None = None, vars: tuple[str, ...] = ()):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "vars", vars)
         if self.base not in ("Z", "Q", "GF"):
             raise UnsupportedError(f"unsupported base ring {self.base!r}")
         if self.base == "GF":
@@ -79,27 +79,32 @@ class RingDescriptor:
         return head
 
 
-@dataclass(frozen=True)
-class CyclicPiece:
+class CyclicPiece(Value):
     """Quotient of the ring by <integer_part> + the monomial ideal; 0 means no integer."""
 
-    integer_part: int
-    monomial_part: MonomialIdeal
+    _fields = ("integer_part", "monomial_part")
 
-    def __post_init__(self):
+    def __init__(self, integer_part: int, monomial_part: MonomialIdeal):
+        object.__setattr__(self, "integer_part", integer_part)
+        object.__setattr__(self, "monomial_part", monomial_part)
         if self.integer_part < 0:
             raise ValueError("integer generator must be non-negative")
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
+class ModuleDescriptor(Value):
     """Direct sum of cyclic pieces, or an integer presentation over the bare integers."""
 
-    ring: RingDescriptor
-    pieces: tuple[CyclicPiece, ...] | None = None
-    presentation: ZPresentation | None = None
+    _fields = ("ring", "pieces", "presentation")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        ring: RingDescriptor,
+        pieces: tuple[CyclicPiece, ...] | None = None,
+        presentation: ZPresentation | None = None,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "presentation", presentation)
         if (self.pieces is None) == (self.presentation is None):
             raise ValueError("exactly one of pieces/presentation must be given")
         if self.presentation is not None and (self.ring.base != "Z" or self.ring.vars):
@@ -111,13 +116,13 @@ class ModuleDescriptor:
                     raise ValueError("piece uses a different number of variables")
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(Value):
     """Finitely supported coheight -> multiplicity map."""
 
-    counts: tuple[tuple[int, int], ...] = ()
+    _fields = ("counts",)
 
-    def __post_init__(self):
+    def __init__(self, counts: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "counts", counts)
         prev = None
         for alpha, count in self.counts:
             if alpha < 0 or count <= 0:
@@ -153,15 +158,20 @@ class LengthVector:
         )
 
 
-@dataclass(frozen=True)
-class CBResult:
+class CBResult(Value):
     """Exact Cantor-Bendixson rank, or sandwich bounds when only those are known."""
 
-    exact: Ordinal | None = None
-    lower: Ordinal | None = None
-    upper: Ordinal | None = None
+    _fields = ("exact", "lower", "upper")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        exact: Ordinal | None = None,
+        lower: Ordinal | None = None,
+        upper: Ordinal | None = None,
+    ):
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         if (self.exact is None) == (self.lower is None and self.upper is None):
             raise ValueError("CBResult is either exact or bounded")
         if self.exact is None:
@@ -269,15 +279,28 @@ def krull_dimension(vector: LengthVector) -> int:
     return vector.counts[-1][0]
 
 
-@dataclass(frozen=True)
-class ModuleAnalysis:
-    ring: str
-    module: str
-    vector: LengthVector
-    length: Ordinal
-    reduced_length: Ordinal
-    cb: CBResult
-    dimension: int | None
+class ModuleAnalysis(Value):
+    """The answer to one request, before rendering."""
+
+    _fields = ("ring", "module", "vector", "length", "reduced_length", "cb", "dimension")
+
+    def __init__(
+        self,
+        ring: str,
+        module: str,
+        vector: LengthVector,
+        length: Ordinal,
+        reduced_length: Ordinal,
+        cb: CBResult,
+        dimension: int | None,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "reduced_length", reduced_length)
+        object.__setattr__(self, "cb", cb)
+        object.__setattr__(self, "dimension", dimension)
 
 
 def describe_module(module: ModuleDescriptor) -> str:

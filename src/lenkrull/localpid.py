@@ -21,21 +21,21 @@ that is r, as for every other module in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .length_core import LengthVector, length, reduced_length
 from .ordinal import Ordinal
+from .value import Value
 
 
-@dataclass(frozen=True)
-class LocalPIDModule:
+class LocalPIDModule(Value):
     """Free rank plus torsion multiplicities (exponent -> number of summands)."""
 
-    free_rank: int
-    torsion: tuple[tuple[int, int], ...] = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int, torsion: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         prev = None

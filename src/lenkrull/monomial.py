@@ -71,10 +71,10 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SizeBoundError
+from .value import Value
 
 Monomial = tuple[int, ...]
 
@@ -84,8 +84,7 @@ MAX_CELLS = 2_000_000
 MAX_GENERATORS = 20_000
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """Minimal generators, canonically sorted; () is the zero ideal.
 
     The constructor accepts any generating set of exponent tuples and keeps
@@ -95,11 +94,11 @@ class MonomialIdeal:
     g^2/16 bytes for g of them.
     """
 
-    n_vars: int
-    gens: tuple[Monomial, ...]
+    _fields = ("n_vars", "gens")
 
-    def __post_init__(self):
-        distinct = set(self.gens)
+    def __init__(self, n_vars: int, gens: tuple[Monomial, ...]):
+        object.__setattr__(self, "n_vars", n_vars)
+        distinct = set(gens)
         if len(distinct) > MAX_GENERATORS:
             raise SizeBoundError(
                 f"the ideal has {len(distinct)} distinct generators, "

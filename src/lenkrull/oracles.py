@@ -45,11 +45,11 @@ import itertools
 import operator
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
 from .monomial import Monomial, MonomialIdeal, _mask_vars, face_counts, minimalize
+from .value import Value
 from .zmodule import (
     ZNormalForm,
     ZPresentation,
@@ -78,13 +78,13 @@ CARACTL_MAX_ORDER = 100
 MAX_TRIALS = {"additivity": 60_000, "sigmaprime": 100_000, "oracle-equivalence": 15_000}
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """Canonical primary decomposition: a sorted tuple of prime powers >= 2."""
 
-    prime_power_factors: tuple[int, ...] = ()
+    _fields = ("prime_power_factors",)
 
-    def __post_init__(self):
+    def __init__(self, prime_power_factors: tuple[int, ...] = ()):
+        object.__setattr__(self, "prime_power_factors", prime_power_factors)
         if list(self.prime_power_factors) != sorted(self.prime_power_factors):
             raise ValueError("prime power factors must be sorted")
         for q in self.prime_power_factors:
@@ -110,11 +110,20 @@ class FiniteAbelianGroup:
         return sum(count_prime_factors(q) for q in self.prime_power_factors)
 
 
-@dataclass(frozen=True)
-class SubgroupInfo:
-    order: int
-    generators: tuple[tuple[int, ...], ...]
-    quotient_factors: tuple[int, ...]
+class SubgroupInfo(Value):
+    """A subgroup's order and generators, and its quotient's invariant factors."""
+
+    _fields = ("order", "generators", "quotient_factors")
+
+    def __init__(
+        self,
+        order: int,
+        generators: tuple[tuple[int, ...], ...],
+        quotient_factors: tuple[int, ...],
+    ):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "quotient_factors", quotient_factors)
 
 
 def _element_ops(orders: Sequence[int]):
@@ -313,12 +322,14 @@ def factorize_by_trial_division(n: int, bound: int) -> dict[int, int]:
 # monomial box enumeration
 
 
-@dataclass(frozen=True)
-class StandardPair:
+class StandardPair(Value):
     """One free cell root * k[x_i : i in face] of the standard monomials."""
 
-    root: Monomial
-    face: frozenset[int]
+    _fields = ("root", "face")
+
+    def __init__(self, root: Monomial, face: frozenset[int]):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "face", face)
 
 
 def minimal_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -490,13 +501,24 @@ def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
 # randomized suites
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    trials: int
-    seed: int | None
-    checked: int
-    failures: tuple[str, ...] = ()
+class VerifyReport(Value):
+    """One suite's run: its name, trial count and seed, checks made, failures."""
+
+    _fields = ("suite", "trials", "seed", "checked", "failures")
+
+    def __init__(
+        self,
+        suite: str,
+        trials: int,
+        seed: int | None,
+        checked: int,
+        failures: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -673,12 +695,18 @@ def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
     return VerifyReport("oracle-equivalence", trials, seed, checked, tuple(failures))
 
 
-def run_length_recursion_suite() -> VerifyReport:
-    """Length recursion on every abelian group of order <= ``CARACTL_MAX_ORDER``."""
+def caractl_groups() -> dict[tuple[int, ...], FiniteAbelianGroup]:
+    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, by its prime powers."""
     groups: dict[tuple[int, ...], FiniteAbelianGroup] = {}
     for order in range(1, CARACTL_MAX_ORDER + 1):
         for group in abelian_group_types(order):
             groups[group.prime_power_factors] = group
+    return groups
+
+
+def run_length_recursion_suite() -> VerifyReport:
+    """Length recursion on every group of ``caractl_groups``."""
+    groups = caractl_groups()
     failures = []
     for key in sorted(groups):
         if not check_length_recursion(groups[key]):

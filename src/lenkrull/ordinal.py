@@ -20,23 +20,23 @@ Python converts to no text, makes ``str`` raise ``SizeBoundError``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError, SizeBoundError
 from .scan import Scanner
+from .value import Value
 from .zmodule import _decimal_digits
 
 Term = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Ordinal:
+class Ordinal(Value):
     """An ordinal < w^w; ``terms`` is the Cantor normal form."""
 
-    terms: tuple[Term, ...] = ()
+    _fields = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[Term, ...] = ()):
+        object.__setattr__(self, "terms", terms)
         prev = None
         for exponent, coefficient in self.terms:
             if exponent < 0 or coefficient <= 0:

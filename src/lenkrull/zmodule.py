@@ -43,12 +43,12 @@ by its number of digits, since Python converts no integer of more than
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
 from .errors import FactorBoundError
+from .value import Value
 
 DEFAULT_FACTOR_BOUND = 10**6
 FACTOR_BOUND_ENV = "LENKRULL_FACTOR_BOUND"
@@ -64,14 +64,14 @@ SHOWN_BELOW = 10**40
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ZPresentation:
+class ZPresentation(Value):
     """Z^generators modulo the span of the relation columns."""
 
-    generators: int
-    relations: tuple[Vector, ...] = ()
+    _fields = ("generators", "relations")
 
-    def __post_init__(self):
+    def __init__(self, generators: int, relations: tuple[Vector, ...] = ()):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
         if self.generators < 0:
             raise ValueError("generator count must be non-negative")
         for col in self.relations:
@@ -81,14 +81,14 @@ class ZPresentation:
                 )
 
 
-@dataclass(frozen=True)
-class ZNormalForm:
+class ZNormalForm(Value):
     """Invariants of a f.g. abelian group: Z^free_rank + sum of Z/d_i, d_i | d_{i+1}."""
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         prev = None

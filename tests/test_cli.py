@@ -184,6 +184,57 @@ class TestTrialBound:
         assert outputs[3].endswith("checked=3 failures=0 ok\noverall: ok")
 
 
+class TestCaractlOptions:
+    """caractl checks a fixed set of groups, so a trial count or a seed is refused."""
+
+    # the options given, and how the refusal names them
+    CASES = [
+        ("--trials 5", "--trials"),
+        ("--seed 1", "--seed"),
+        ("--trials 5 --seed 1", "--trials or --seed"),
+        ("--seed 0 --trials 185", "--trials or --seed"),
+    ]
+
+    @staticmethod
+    def message(given: str) -> str:
+        return (
+            f"--suite caractl takes no {given}: it checks a fixed set of 185 groups, "
+            "every abelian group of order at most 100"
+        )
+
+    @pytest.fixture(autouse=True)
+    def caractl_never_runs(self, monkeypatch):
+        def never():
+            raise AssertionError("caractl ran")
+
+        monkeypatch.setattr(oracles, "run_length_recursion_suite", never)
+
+    def test_refused_from_argv(self, capsys):
+        for options, given in self.CASES:
+            argv = ["verify", "--suite", "caractl", *options.split()]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().out == f"error[parse]: {self.message(given)}\n"
+            assert cli.main(["--output", "json", *argv]) == 1
+            assert json.loads(capsys.readouterr().out) == {
+                "error": {"code": "parse", "message": self.message(given), "span": None}
+            }
+
+    def test_refused_from_a_batch_line(self, tmp_path):
+        lines, expected = [], []
+        for options, given in self.CASES:
+            lines += [f"verify --suite caractl {options}", f"verify --output json --suite caractl {options}"]
+            expected += [
+                f"error[parse]: {self.message(given)}",
+                json.dumps(
+                    {"error": {"code": "parse", "message": self.message(given), "span": None}},
+                    sort_keys=True,
+                ),
+            ]
+        batch = tmp_path / "requests.txt"
+        batch.write_text("\n".join(lines + ["zmodule --matrix '[[2]]'"]) + "\n", encoding="utf-8")
+        assert cli.run_batch(str(batch), "text") == (1, expected + [GOLDEN_Z_MOD_2_TEXT])
+
+
 GOLDEN_Z_MOD_2_JSON = (
     '{"cb_rank": {"exact": "0"}, "dimension": 0, "length": "1", '
     '"length_vector": {"0": 1}, "module": "Z^1 / [[2]]", "reduced_length": "0", '

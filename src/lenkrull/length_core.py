@@ -33,7 +33,7 @@ tightened to the predecessor when the length is a successor.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import zmodule
 from .errors import UnsupportedError

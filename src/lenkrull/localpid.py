@@ -21,7 +21,7 @@ that is r, as for every other module in this package.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .length_core import LengthVector, length, reduced_length
 from .ordinal import Ordinal

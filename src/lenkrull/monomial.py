@@ -44,25 +44,37 @@ last index for "x_i is in the face" (coordinate 0, width 1).  A generator's
 rank on axis i is the index of its cut point g_i, or the face index when g_i
 is top_i; the face index lies above every rank, because a stripped generator
 has exponent 0 there.  So the grid points whose root lies in the stripped
-ideal form the union of the orthants above the generators' ranks, one slice
-assignment each.  The standard test is then n array operations: a point
-passes when it is outside that union and, on every axis where it sits on a
-cell, its neighbour at the face index is inside.  Contracting each axis with
-the 2-row matrix [[cell widths..., 0], [0..., 1]] adds up, per face, the
-volumes of the passing cells.  The grid has at most (generators +
-1)^variables points whatever the size of the exponents, one per (face, cell)
-pair; ``MAX_CELLS`` bounds their number, the product of (cut points + 1) over
-the variables, which is at least both the number of cells and the number of
-faces.  Under it a count peaks at 10 + 16/a bytes per grid point, a the
-length of variable 0's axis, so about 10 and at most 18: two boolean grids,
-the int64 copy that the first contraction reads, and its result.
+ideal form the union of the orthants above the generators' ranks, and a
+point passes the standard test when it is outside that union and, on every
+axis where it sits on a cell, its neighbour at the face index is inside.
+The grid has at most (generators + 1)^variables points whatever the size of
+the exponents, one per (face, cell) pair; ``MAX_CELLS`` bounds their number,
+the product of (cut points + 1) over the variables, which is at least both
+the number of cells and the number of faces.
+
+The grid is one Python int of that many bits, variable 0 the fastest axis:
+the point with indices k_i is bit sum k_i * s_i, where the stride s_i is the
+product of the lengths of the axes before i.  Each generator's rank point is
+set in a bytearray, converted once, and closed upward on each axis by left
+shifts of 1, 2, 4, ... indices, each masked to the points whose index is at
+least the shift, so that no bit crosses into the next period of the axis: a
+closure takes log2 L steps on an axis of L indices.  For the standard test,
+the face slice of that union is spread back down each axis by right shifts
+by doubling; they need no mask, since the spread part always ends at the
+face index.  A mask is one period's pattern tiled by doubling shifts, never
+by big-int multiplication.  To count, the fastest axes whose lengths
+multiply to at most ``ROW_BITS`` make up a row and the other axes index the
+rows, so that each row has one face and one width product on its slow axes.
+Each nonempty row is cut out of the bytes of the passing points and split on
+each fast axis into its face part and its weight classes, empty parts
+pruned; a class is one distinct cell width when the axis has few of them,
+and one binary digit of the width otherwise.  Each leaf adds its weight
+times its popcount to its face's total, in Python ints.  A count holds a few
+ints of at most ``MAX_CELLS`` bits, about 250 kB each, and two byte strings
+of the same size.
 
 Enumeration order is fixed (faces by decreasing size then numeric bitmask
 order) so outputs are deterministic.
-
-numpy is imported at first use, inside ``face_counts`` once the ideal is
-neither zero nor the unit ideal and passes ``MAX_CELLS``, so a process that
-counts no faces never loads it.
 """
 
 from __future__ import annotations
@@ -70,8 +82,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import SizeBoundError
 from .value import Value
@@ -82,6 +93,8 @@ Monomial = tuple[int, ...]
 MAX_CELLS = 2_000_000
 # hard cap on the distinct generators of one ideal, for the dominance sweep
 MAX_GENERATORS = 20_000
+# the most bits of one row of the grid, which ``face_counts`` splits by masks
+ROW_BITS = 1 << 15
 
 
 class MonomialIdeal(Value):
@@ -146,6 +159,8 @@ def _undominated(gens: list[Monomial]) -> tuple[Monomial, ...]:
     about g^2/16 bytes at first and only shrink; the walks cost O(g log g)
     comparisons and O(g^2 / word size) word operations per coordinate.
     """
+    if len(gens) < 2:
+        return tuple(gens)
     masks = [(1 << j) - 1 for j in range(len(gens))]
     columns = zip(*gens)
     next(columns, None)
@@ -168,55 +183,140 @@ def _mask_vars(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
+def _tiled(pattern: int, period: int, full: int) -> int:
+    """``pattern``, one period of ``period`` bits, repeated over the bits of
+    ``full`` by doubling shifts."""
+    size = full.bit_length()
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & full
+
+
+def _weight_classes(widths: list[int], stride: int) -> list[tuple[int, int]]:
+    """(weight, one period's mask) classes of an axis's cells, such that each
+    cell's width is the sum of the weights of the classes that hold it.
+
+    A class is one distinct width when there are at most as many of them as
+    binary digits of the largest width, and one binary digit otherwise.  The
+    mask sets the ``stride`` bits of each cell in the class.
+    """
+    digits = max(widths).bit_length()
+    distinct = sorted(set(widths))
+    if len(distinct) <= digits:
+        classes = [(w, [v == w for v in widths]) for w in distinct]
+    else:
+        classes = [(1 << b, [v >> b & 1 for v in widths]) for b in range(digits)]
+    run, gap = "1" * stride, "0" * stride
+    return [
+        (w, int("".join(run if on else gap for on in reversed(flags)), 2)) for w, flags in classes
+    ]
+
+
 def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
     """Number of standard pairs per face, counted over the cells of the box.
 
     Faces come by decreasing size, then numeric bitmask order; zero counts are
     omitted.  Generator exponents enter only as ranks among the cut points,
-    so exponents of any size index the grid; the widths are summed in int64,
-    or in Python ints when the box volume does not fit.
+    so exponents of any size index the grid, and the widths are summed in
+    Python ints.
     """
     n = ideal.n_vars
     if ideal.is_unit:
         return {}
     if ideal.is_zero:
         return {frozenset(range(n)): 1}
-    tops = [max(d, 1) for d in ideal.max_exponents()]
-    cuts = [sorted({0} | {g[i] for g in ideal.gens if g[i] < top}) for i, top in enumerate(tops)]
-    shape = tuple(len(axis) + 1 for axis in cuts)
+    columns = list(zip(*ideal.gens))
+    tops = [max(1, *column) for column in columns]
+    cuts = [sorted({0, *(e for e in column if e < top)}) for column, top in zip(columns, tops)]
+    lengths = [len(axis) + 1 for axis in cuts]
     # the (face, cell) pairs are the cells of all the faces' sub-grids; their
     # number bounds both the grid and the number of faces
-    pairs = math.prod(shape)
-    if pairs > MAX_CELLS:
+    size = math.prod(lengths)
+    if size > MAX_CELLS:
         raise SizeBoundError(
-            f"monomial sub-grids of all faces hold {pairs} cells, "
+            f"monomial sub-grids of all faces hold {size} cells, "
             f"above the bound MAX_CELLS = {MAX_CELLS}"
         )
-    import numpy as np
-
-    # axis n-1-i of the grid is variable i, so the per-face totals flatten to
-    # the face bitmask; member[p]: the root lies in the stripped ideal
-    member = np.zeros(shape[::-1], dtype=bool)
-    for g in ideal.gens:
-        member[tuple(slice(bisect_left(axis, e), None) for axis, e in zip(cuts, g))[::-1]] = True
+    # strides[i] is axis i's bit step, strides[i + 1] its period
+    strides = list(itertools.accumulate(lengths, operator.mul, initial=1))
+    full = (1 << size) - 1
+    # the fast axes, whose lengths multiply to at most ROW_BITS, make up a
+    # row; each row has one face and one width product on the slow axes
+    fast = 1
+    while fast < n and strides[fast + 1] <= ROW_BITS:
+        fast += 1
+    row = strides[fast]
+    row_full = (1 << row) - 1
+    # member: the root lies in the stripped ideal; first the generators' rank
+    # points, then their upward closure on each axis
+    points = [0] * len(ideal.gens)
+    for axis, top, stride, column in zip(cuts, tops, strides, columns):
+        offset = {c: k * stride for k, c in enumerate(axis)}
+        offset[top] = len(axis) * stride
+        points = list(map(operator.add, points, map(offset.__getitem__, column)))
+    marks = bytearray((size + 7) // 8)
+    for p in points:
+        marks[p >> 3] |= 1 << (p & 7)
+    member = int.from_bytes(marks, "little")
+    for length, stride, period in zip(lengths, strides, strides[1:]):
+        # the points at index >= shift on this axis, first for shift 1
+        above = _tiled(full >> size - period + stride << stride, period, full)
+        shift = 1
+        while shift < length:
+            member |= (member << shift * stride) & above
+            above &= above << shift * stride
+            shift *= 2
     # admissible, and maximal: on each axis where the point sits on a cell,
     # moving that variable into the face puts the root in the stripped ideal
-    keep = ~member
-    whole = (slice(None),) * n
-    for j in range(n):
-        keep[whole[:j] + (slice(-1),)] &= member[whole[:j] + (slice(-1, None),)]
-    # every face's count is at most the box volume; past int64, use Python ints
-    dtype = np.int64 if math.prod(tops) < 2**63 else object
-    # contract variable i's axis; row 1 of the weights is bit i of the face
-    totals = keep
-    for i, (axis, top) in enumerate(zip(cuts, tops)):
-        weights = np.zeros((2, len(axis) + 1), dtype=dtype)
-        weights[0, :-1] = [b - a for a, b in zip(axis, axis[1:] + [top])]
-        weights[1, -1] = 1
-        totals = weights @ totals.reshape(-1, len(axis) + 1, 1 << i)
-    totals = totals.ravel()
-    order = sorted(np.flatnonzero(totals).tolist(), key=lambda f: (-bin(f).count("1"), f))
-    return {frozenset(_mask_vars(f)): int(totals[f]) for f in order}
+    keep = full ^ member
+    faces = []
+    for length, stride, period in zip(lengths, strides, strides[1:]):
+        face = _tiled(full >> size - stride << period - stride, period, full)
+        faces.append(face & row_full)
+        # spread the face slice down the axis; each shift stays on the axis
+        spread = member & face
+        covered = 1
+        while covered < length:
+            step = min(covered, length - covered)
+            spread |= spread >> step * stride
+            covered += step
+        keep &= spread | face
+    cells = [[b - a for a, b in zip(axis, axis[1:] + [top])] for axis, top in zip(cuts, tops)]
+    classes = [
+        [(w, _tiled(mask, period, row_full)) for w, mask in _weight_classes(widths, stride)]
+        for widths, stride, period in zip(cells[:fast], strides, strides[1:])
+    ]
+    slow = [[(0, w) for w in cells[i]] + [(1 << i, 1)] for i in range(fast, n)]
+    data = keep.to_bytes((size + 7) // 8, "little")
+    totals: dict[int, int] = {}
+    for r, indices in enumerate(itertools.product(*slow[::-1])):
+        start = r * row
+        x = int.from_bytes(data[start >> 3 : (start + row + 7) >> 3], "little") >> (start & 7)
+        x &= row_full
+        if not x:
+            continue
+        face = 0
+        weight = 1
+        for bit, w in indices:
+            face |= bit
+            weight *= w
+        # split on each fast axis into its face part and its weight classes
+        stack = [(x, fast - 1, face, weight)]
+        while stack:
+            x, i, face, weight = stack.pop()
+            if i < 0:
+                totals[face] = totals.get(face, 0) + weight * x.bit_count()
+                continue
+            part = x & faces[i]
+            if part:
+                stack.append((part, i - 1, face | 1 << i, weight))
+            for w, mask in classes[i]:
+                part = x & mask
+                if part:
+                    stack.append((part, i - 1, face, weight * w))
+    order = sorted(totals, key=lambda f: (-f.bit_count(), f))
+    return {frozenset(_mask_vars(f)): totals[f] for f in order}
 
 
 def face_count_vector(ideal: MonomialIdeal) -> dict[int, int]:

@@ -20,7 +20,7 @@ Python converts to no text, makes ``str`` raise ``SizeBoundError``.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import ParseError, SizeBoundError
 from .scan import Scanner

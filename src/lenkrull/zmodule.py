@@ -43,9 +43,9 @@ by its number of digits, since Python converts no integer of more than
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
 
 from .errors import FactorBoundError
 from .value import Value

@@ -32,8 +32,7 @@ else:
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
-# never needed by a ring, module, zmodule, localpid or batch request that
-# counts no faces
+# never needed by a ring, module, zmodule, localpid or batch request
 HEAVY = {"dataclasses", "inspect", "lenkrull.oracles", "random", "numpy"}
 
 
@@ -54,6 +53,18 @@ def added_modules(*argv: str) -> set[str]:
 def test_zmodule_request_loads_no_heavy_module():
     added = added_modules("zmodule", "--matrix", "[[2]]")
     assert "lenkrull.cli" in added
+    assert added & HEAVY == set()
+
+
+def test_ring_request_counting_faces_loads_no_heavy_module():
+    added = added_modules("ring", "Z[x,y]", "--ideal", "x^2, y^3")
+    assert "lenkrull.monomial" in added
+    assert added & HEAVY == set()
+
+
+def test_two_piece_module_request_loads_no_heavy_module():
+    added = added_modules("module", "GF(2)[x,y]", "--pieces", "(x^2, y) (+) (x*y)")
+    assert "lenkrull.monomial" in added
     assert added & HEAVY == set()
 
 

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenkrull import oracles
+from lenkrull import monomial, oracles
 from lenkrull.errors import SizeBoundError
 from lenkrull.monomial import (
     MAX_CELLS,
     MAX_GENERATORS,
     MonomialIdeal,
+    _weight_classes,
     face_count_vector,
     face_counts,
     format_ideal,
@@ -391,6 +392,59 @@ class TestFaceCounts:
     def test_matches_standard_pairs_in_order(self, ideal):
         # standard_pairs lists faces by decreasing size, then bitmask
         assert list(face_counts(ideal).items()) == list(face_count_vector_faces(ideal).items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(6, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any), max_size=8),
+            )
+        )
+    )
+    def test_six_and_seven_variables_match_standard_pairs_in_order(self, case):
+        n, gens = case
+        ideal = minimalize(n, gens)
+        assert list(face_counts(ideal).items()) == list(face_count_vector_faces(ideal).items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=5, max_size=8, unique=True),
+        st.lists(st.integers(1, 12), min_size=5, max_size=8, unique=True),
+        st.integers(0, 6),
+    )
+    def test_many_distinct_widths_match_the_box(self, right, down, depth):
+        """A staircase whose cells on the first axis have 5-8 distinct widths
+        up to 12, more than their 4 binary digits, so that axis is split by
+        digit; a third variable is free (depth 0) or bounded by z^depth."""
+        steps = min(len(right), len(down))
+        xs = list(itertools.accumulate(right[:steps], initial=0))
+        ys = list(itertools.accumulate(down[:steps], initial=0))[::-1]
+        bound = [(0, 0, depth)] if depth else []
+        ideal = _ideal(3, *[(x, y, 0) for x, y in zip(xs, ys)], *bound)
+        assert list(face_counts(ideal).items()) == list(face_count_vector_faces(ideal).items())
+        flat = _ideal(2, *zip(xs, ys))
+        assert list(face_counts(flat).items()) == list(face_count_vector_faces(flat).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideals(max_vars=5, max_gens=6, max_exp=6), st.sampled_from([1, 2, 7, 64]))
+    def test_rows_agree_with_one_row(self, ideal, row_bits):
+        whole = list(face_counts(ideal).items())
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(monomial, "ROW_BITS", row_bits)
+            assert list(face_counts(ideal).items()) == whole
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(1, 4))
+    def test_weight_classes_add_up_to_each_width(self, widths, stride):
+        classes = _weight_classes(widths, stride)
+        for k, width in enumerate(widths):
+            held = [w for w, mask in classes if mask >> k * stride & 1]
+            run = (1 << stride) - 1
+            assert all(mask >> k * stride & run in (0, run) for _, mask in classes)
+            assert sum(held) == width
+        assert all(mask >> len(widths) * stride == 0 for _, mask in classes)
+        distinct, digits = len(set(widths)), max(widths).bit_length()
+        assert len(classes) == (distinct if distinct <= digits else digits)
 
     def test_staircase_of_a_thousand_generators(self):
         gens, area = _staircase(1000, random.Random(3))

@@ -248,28 +248,36 @@ def reduced_length(vector: LengthVector) -> Ordinal:
     return length(vector.shifted_down())
 
 
-def check_length_identity(vector: LengthVector) -> bool:
-    """length == w * reduced_length + coheight-0 multiplicity."""
-    recombined = reduced_length(vector).left_mul_omega().add(
-        Ordinal.from_int(vector[0])
-    )
-    return recombined == length(vector)
+def check_length_identity(
+    vector: LengthVector, ell: Ordinal | None = None, reduced: Ordinal | None = None
+) -> bool:
+    """length == w * reduced_length + coheight-0 multiplicity.
+
+    ``ell`` and ``reduced`` are the length and reduced length to check,
+    computed from the vector when not given.
+    """
+    if ell is None:
+        ell = length(vector)
+    if reduced is None:
+        reduced = reduced_length(vector)
+    return reduced.left_mul_omega().add(Ordinal.from_int(vector[0])) == ell
 
 
-def cb_rank_from_vector(ring: RingDescriptor, vector: LengthVector) -> CBResult:
+def cb_rank_from_lengths(
+    ring: RingDescriptor, vector: LengthVector, ell: Ordinal, reduced: Ordinal
+) -> CBResult:
+    """The CB-rank read off a length vector, given its length and reduced length."""
     if vector.is_zero:
         return CBResult(exact=Ordinal.zero())
     if ring.finite_simple_modules:
-        return CBResult(exact=reduced_length(vector))
-    return CBResult(
-        lower=reduced_length(vector),
-        upper=length(vector).saturating_pred(),
-    )
+        return CBResult(exact=reduced)
+    return CBResult(lower=reduced, upper=ell.saturating_pred())
 
 
 def cb_rank(module: ModuleDescriptor) -> CBResult:
     """Exact reduced length over Z/GF(p) bases, sandwich bounds over Q."""
-    return cb_rank_from_vector(module.ring, length_vector(module))
+    vector = length_vector(module)
+    return cb_rank_from_lengths(module.ring, vector, length(vector), reduced_length(vector))
 
 
 def krull_dimension(vector: LengthVector) -> int:
@@ -323,17 +331,18 @@ def describe_module(module: ModuleDescriptor) -> str:
 
 def analyze(module: ModuleDescriptor) -> ModuleAnalysis:
     vector = length_vector(module)
-    if not check_length_identity(vector):
+    ell = length(vector)
+    reduced = reduced_length(vector)
+    if not check_length_identity(vector, ell, reduced):
         raise RuntimeError(
             f"length identity fails for the length vector {vector.as_dict()}"
         )
-    ell = length(vector)
     return ModuleAnalysis(
         ring=str(module.ring),
         module=describe_module(module),
         vector=vector,
         length=ell,
-        reduced_length=reduced_length(vector),
-        cb=cb_rank_from_vector(module.ring, vector),
+        reduced_length=reduced,
+        cb=cb_rank_from_lengths(module.ring, vector, ell, reduced),
         dimension=None if vector.is_zero else krull_dimension(vector),
     )

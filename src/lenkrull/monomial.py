@@ -65,12 +65,13 @@ face index.  A mask is one period's pattern tiled by doubling shifts, never
 by big-int multiplication.  To count, the fastest axes whose lengths
 multiply to at most ``ROW_BITS`` make up a row and the other axes index the
 rows, so that each row has one face and one width product on its slow axes.
-Each nonempty row is cut out of the bytes of the passing points and split on
-each fast axis into its face part and its weight classes, empty parts
-pruned; a class is one distinct cell width when the axis has few of them,
-and one binary digit of the width otherwise.  Each leaf adds its weight
-times its popcount to its face's total, in Python ints.  A count holds a few
-ints of at most ``MAX_CELLS`` bits, about 250 kB each, and two byte strings
+Each nonempty row is cut out of the bytes of the passing points (a grid of
+one row is the passing points themselves) and split on each fast axis into
+its face part and its weight classes, empty parts pruned; a class is one
+distinct cell width when the axis has few of them, and one binary digit of
+the width otherwise.  Each leaf adds its weight times its popcount to its
+face's total, in Python ints.  A count holds a few ints of at most
+``MAX_CELLS`` bits, about 250 kB each, and, past one row, two byte strings
 of the same size.
 
 Enumeration order is fixed (faces by decreasing size then numeric bitmask
@@ -201,16 +202,19 @@ def _weight_classes(widths: list[int], stride: int) -> list[tuple[int, int]]:
     binary digits of the largest width, and one binary digit otherwise.  The
     mask sets the ``stride`` bits of each cell in the class.
     """
-    digits = max(widths).bit_length()
-    distinct = sorted(set(widths))
-    if len(distinct) <= digits:
-        classes = [(w, [v == w for v in widths]) for w in distinct]
-    else:
-        classes = [(1 << b, [v >> b & 1 for v in widths]) for b in range(digits)]
-    run, gap = "1" * stride, "0" * stride
-    return [
-        (w, int("".join(run if on else gap for on in reversed(flags)), 2)) for w, flags in classes
-    ]
+    run = (1 << stride) - 1
+    by_width: dict[int, int] = {}
+    for k, v in enumerate(widths):
+        by_width[v] = by_width.get(v, 0) | run << k * stride
+    digits = max(by_width).bit_length()
+    if len(by_width) <= digits:
+        return sorted(by_width.items())
+    masks = [0] * digits
+    for v, mask in by_width.items():
+        for b in range(v.bit_length()):
+            if v >> b & 1:
+                masks[b] |= mask
+    return [(1 << b, mask) for b, mask in enumerate(masks)]
 
 
 def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
@@ -288,12 +292,17 @@ def face_counts(ideal: MonomialIdeal) -> dict[frozenset[int], int]:
         for widths, stride, period in zip(cells[:fast], strides, strides[1:])
     ]
     slow = [[(0, w) for w in cells[i]] + [(1 << i, 1)] for i in range(fast, n)]
-    data = keep.to_bytes((size + 7) // 8, "little")
+    if fast == n:
+        rows = [keep]
+    else:
+        data = keep.to_bytes((size + 7) // 8, "little")
+        rows = (
+            int.from_bytes(data[start >> 3 : (start + row + 7) >> 3], "little") >> (start & 7)
+            & row_full
+            for start in range(0, size, row)
+        )
     totals: dict[int, int] = {}
-    for r, indices in enumerate(itertools.product(*slow[::-1])):
-        start = r * row
-        x = int.from_bytes(data[start >> 3 : (start + row + 7) >> 3], "little") >> (start & 7)
-        x &= row_full
+    for x, indices in zip(rows, itertools.product(*slow[::-1])):
         if not x:
             continue
         face = 0

@@ -31,21 +31,29 @@ named below; everything else is computed here, apart from the engines:
   ``face_counts`` at every face;
 * ``minimal_generators``: the quadratic sweep that tests each sorted
   generator against every kept one, the reference for the bitmask sweep in
-  ``MonomialIdeal``'s constructor.
+  ``MonomialIdeal``'s constructor; the multiplicity oracle minimalizes its
+  projected generators with it.
 
 Sampling is driven by an explicit seed, so every report is reproducible.
-numpy is imported at first use, by the box helpers (``_gens_array``,
-``_contains_many``, ``_saturation_members``, ``_box_points``), so the suites
-that enumerate no box never load it.
+
+The box helpers hold sets of box points as Python-int bitsets, the points
+numbered in ``itertools.product`` order (last coordinate fastest).  For each
+axis and each exponent e that some generator has there, one mask marks the
+points whose coordinate is at least e, so a box costs O(generators x
+variables) big-int operations whatever the length of its sides.  An ideal is
+the OR over its generators of the AND of their masks, and the number of
+points, the product of the integer sides, is checked against
+``MAX_BOX_POINTS`` before any mask is built.  Nothing of the engine's cell
+grid is reused, so the oracle stays independent of what it checks.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
 from .monomial import Monomial, MonomialIdeal, _mask_vars, face_counts, minimalize
@@ -60,13 +68,8 @@ from .zmodule import (
     torsion_lattice_basis,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # hard cap on how many box monomials a single enumeration may visit
 MAX_BOX_POINTS = 2_000_000
-# rows x generators tested at once by _contains_many, which bounds its arrays
-BLOCK_ENTRIES = 1 << 15
 # enumerate_subgroups builds an order x order addition table
 MAX_GROUP_ORDER = 1_000
 # caractl checks every abelian group of order up to this bound
@@ -356,74 +359,86 @@ def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialI
     )
 
 
-def _gens_array(ideal: MonomialIdeal) -> np.ndarray:
-    import numpy as np
-
-    if ideal.gens:
-        return np.array(ideal.gens, dtype=np.int64)
-    return np.zeros((0, ideal.n_vars), dtype=np.int64)
-
-
-def _contains_many(points: np.ndarray, ideal: MonomialIdeal) -> np.ndarray:
-    """Membership of each row of ``points`` in ``ideal`` (vectorized divisor
-    test, a block of rows at a time so memory stays bounded)."""
-    import numpy as np
-
-    gens = _gens_array(ideal)
-    out = np.zeros(len(points), dtype=bool)
-    if not len(gens):
-        return out
-    step = max(1, BLOCK_ENTRIES // len(gens))
-    for start in range(0, len(points), step):
-        block = points[start : start + step]
-        out[start : start + step] = (
-            (block[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)
+def _box_size(sides: Sequence[int]) -> int:
+    """Number of points of the box with the given side lengths, refused above
+    ``MAX_BOX_POINTS``.  It is computed from the integer sides alone, so a box
+    of any size is refused before a bitset is built."""
+    total = math.prod(sides)
+    if total > MAX_BOX_POINTS:
+        raise SizeBoundError(
+            f"monomial box larger than {MAX_BOX_POINTS} points; "
+            "exponents are too large for desk-scale enumeration"
         )
+    return total
+
+
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """``count`` copies of ``pattern``, one every ``period`` bits."""
+    out = width = 0
+    while count:
+        if count & 1:
+            out |= pattern << width
+            width += period
+        pattern |= pattern << period
+        period *= 2
+        count >>= 1
     return out
 
 
-def _box_points(ranges: Sequence[range]) -> np.ndarray:
-    total = 1
-    for r in ranges:
-        total *= len(r)
-        if total > MAX_BOX_POINTS:
-            raise SizeBoundError(
-                f"monomial box larger than {MAX_BOX_POINTS} points; "
-                "exponents are too large for desk-scale enumeration"
-            )
-    import numpy as np
+def _threshold_masks(
+    gens: Sequence[Monomial], sides: Sequence[int]
+) -> tuple[int, list[dict[int, int]]]:
+    """The box's size and, per axis t, the bitsets of its points whose
+    coordinate t is at least e, for each exponent e > 0 that some generator
+    has there.
 
-    pts = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-    return pts.reshape(total, len(ranges))
+    Points are numbered in ``itertools.product`` order over the sides, the
+    last coordinate fastest.  The size is checked against ``MAX_BOX_POINTS``
+    before any mask is built.
+    """
+    size = _box_size(sides)
+    masks = []
+    stride = size
+    for t, side in enumerate(sides):
+        period, stride = stride, stride // side
+        run = (1 << side * stride) - 1
+        masks.append({
+            e: _repeat(run >> e * stride << e * stride, period, size // period)
+            for e in {g[t] for g in gens}
+            if e
+        })
+    return size, masks
 
 
-def _saturation_members(points: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Membership of each row of ``points`` in the ideal generated by the rows
-    of ``gens`` and in its saturation by every variable.
+def _orthants(
+    gens: Sequence[Monomial], masks: list[dict[int, int]], full: int, skip: int = 0
+) -> int:
+    """The box points that some generator divides in every coordinate t
+    whose bit is clear in ``skip``."""
+    out = 0
+    for g in gens:
+        bits = full
+        for t, e in enumerate(g):
+            if e and not skip >> t & 1:
+                bits &= masks[t][e]
+        out |= bits
+    return out
+
+
+def _saturation_members(gens: Sequence[Monomial], sides: Sequence[int]) -> tuple[int, int]:
+    """Bitsets of the box points (numbered as in ``_threshold_masks``) in the
+    ideal generated by ``gens`` and in its saturation by every variable.
 
     m lies in the saturation by x_j exactly when some generator divides m in
     every coordinate but j, so m lies in the saturation by all variables when
-    that holds for each j.  A block of rows at a time, as in
-    ``_contains_many``, so memory stays bounded.
+    that holds for each j.
     """
-    import numpy as np
-
-    in_ideal = np.zeros(len(points), dtype=bool)
-    in_saturation = np.zeros(len(points), dtype=bool)
-    if not len(gens):
-        return in_ideal, in_saturation
-    step = max(1, BLOCK_ENTRIES // len(gens))
-    for start in range(0, len(points), step):
-        block = points[start : start + step]
-        # short[p, g, j]: generator g does not divide point p in coordinate j
-        short = block[:, None, :] < gens[None, :, :]
-        misses = short.sum(axis=2)
-        hit = (misses == 0).any(axis=1)
-        # some generator fails at coordinate j and nowhere else
-        only = (short & (misses == 1)[:, :, None]).any(axis=1)
-        in_ideal[start : start + step] = hit
-        in_saturation[start : start + step] = hit | only.all(axis=1)
-    return in_ideal, in_saturation
+    size, masks = _threshold_masks(gens, sides)
+    full = (1 << size) - 1
+    saturation = full
+    for j in range(len(sides)):
+        saturation &= _orthants(gens, masks, full, 1 << j)
+    return _orthants(gens, masks, full), saturation
 
 
 def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
@@ -436,8 +451,9 @@ def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
     everything, so the count is 1 exactly for the zero ideal.  Gap monomials
     lie below the stripped ideal's componentwise maximum d: at m_i >= d_i
     multiplying by x_i never enters the ideal, so m is outside the
-    saturation as well.  The box spans the remaining variables only, and
-    ``_saturation_members`` tests each of its points against the stripped
+    saturation as well.  The generators are projected onto the remaining
+    variables and minimalized, the box spans those variables only, and
+    ``_saturation_members`` tests each of its points against the projected
     generators directly.
     """
     face = frozenset(face)
@@ -446,15 +462,14 @@ def local_multiplicity_oracle(ideal: MonomialIdeal, face: Iterable[int]) -> int:
     outside = [j for j in range(ideal.n_vars) if j not in face]
     if not outside:
         return 1 if ideal.is_zero else 0
-    stripped = strip_variables(ideal, face)
-    if stripped.is_unit:
+    gens = minimal_generators(tuple(g[j] for j in outside) for g in ideal.gens)
+    if not gens or not any(gens[0]):
         return 0
-    bounds = stripped.max_exponents()
-    points = _box_points([range(bounds[j]) for j in outside])
-    if not len(points):
+    sides = [max(column) for column in zip(*gens)]
+    if not all(sides):
         return 0
-    in_ideal, in_saturation = _saturation_members(points, _gens_array(stripped)[:, outside])
-    return int((in_saturation & ~in_ideal).sum())
+    in_ideal, in_saturation = _saturation_members(gens, sides)
+    return (in_saturation & ~in_ideal).bit_count()
 
 
 def _face_masks(n: int) -> list[int]:
@@ -467,33 +482,41 @@ def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
     A candidate ``(root, F)`` with in-box root is maximal iff for every strict
     superface G the truncated root (G-coordinates zeroed) lies in the ideal
     with the G variables deleted; otherwise that truncation is an admissible
-    strictly larger pair.
+    strictly larger pair.  The roots of face F span the box over the
+    variables outside F, and a truncation lies in the ideal of G when some
+    generator divides the root in every coordinate outside G.  Every face's
+    box lies inside the whole box, whose size is checked first.
     """
     n = ideal.n_vars
     if ideal.is_unit:
         return ()
-    bounds = ideal.max_exponents()
-    strips = {mask: strip_variables(ideal, _mask_vars(mask)) for mask in range(1 << n)}
+    bounds = [max(b, 1) for b in ideal.max_exponents()]
+    _box_size(bounds)
     pairs: list[StandardPair] = []
     for mask in _face_masks(n):
-        face_vars = _mask_vars(mask)
-        ranges = [
-            range(1) if (mask >> i) & 1 else range(max(bounds[i], 1)) for i in range(n)
-        ]
-        roots = _box_points(ranges)
-        keep = ~_contains_many(roots, strips[mask])
-        if not keep.any():
-            continue
+        face_vars = frozenset(_mask_vars(mask))
+        outside = [i for i in range(n) if not (mask >> i) & 1]
+        sides = [bounds[i] for i in outside]
+        gens = [tuple(g[i] for i in outside) for g in ideal.gens]
+        size, masks = _threshold_masks(gens, sides)
+        full = (1 << size) - 1
+        keep = full & ~_orthants(gens, masks, full)
         for sup in range(1 << n):
+            if not keep:
+                break
             if sup == mask or (sup & mask) != mask:
                 continue
-            truncated = roots.copy()
-            truncated[:, list(_mask_vars(sup))] = 0
-            keep &= _contains_many(truncated, strips[sup])
-            if not keep.any():
-                break
-        for row in roots[keep]:
-            pairs.append(StandardPair(tuple(int(e) for e in row), frozenset(face_vars)))
+            skip = sum(1 << t for t, i in enumerate(outside) if (sup >> i) & 1)
+            keep &= _orthants(gens, masks, full, skip)
+        bits = bin(keep)[:1:-1]
+        index = bits.find("1")
+        while index >= 0:
+            root = [0] * n
+            rest = index
+            for i, side in zip(reversed(outside), reversed(sides)):
+                rest, root[i] = divmod(rest, side)
+            pairs.append(StandardPair(tuple(root), face_vars))
+            index = bits.find("1", index + 1)
     return tuple(pairs)
 
 

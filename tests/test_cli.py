@@ -361,6 +361,7 @@ for argv in (
     ["localpid", "--free", "1"],
     ["ring", "Z", "--ideal", "6"],
     ["verify", "--suite", "sigmaprime", "--trials", "2"],
+    ["verify", "--suite", "oracle-equivalence", "--trials", "2"],
 ):
     assert cli.main(argv) == 0, argv
 print("numpy loaded:", "numpy" in sys.modules)

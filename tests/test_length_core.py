@@ -296,7 +296,34 @@ class TestAnalyze:
     def test_broken_length_identity_raises(self, monkeypatch):
         import lenkrull.length_core as length_core
 
-        monkeypatch.setattr(length_core, "check_length_identity", lambda vector: False)
+        monkeypatch.setattr(
+            length_core, "check_length_identity", lambda vector, ell, reduced: False
+        )
         r = ring("GF", "x", p=2)
         with pytest.raises(RuntimeError, match="length identity"):
             analyze(module(r, piece(r, gens=[(2,)])))
+
+    @pytest.mark.parametrize("base", ["GF", "Q"])
+    def test_lengths_computed_once_and_checked_as_returned(self, monkeypatch, base):
+        import lenkrull.length_core as length_core
+
+        checked = []
+        check = length_core.check_length_identity
+
+        def spy(vector, ell, reduced):
+            checked.append((ell, reduced, check(vector, ell, reduced)))
+            return checked[-1][2]
+
+        built = []
+        from_vector = Ordinal.from_length_vector
+        monkeypatch.setattr(length_core, "check_length_identity", spy)
+        monkeypatch.setattr(
+            Ordinal,
+            "from_length_vector",
+            classmethod(lambda cls, vec: built.append(vec) or from_vector(vec)),
+        )
+        r = ring(base, "x", "y", p=2 if base == "GF" else None)
+        a = analyze(module(r, piece(r, gens=[(2, 0), (1, 1)])))
+        assert len(built) == 2
+        [(ell, reduced, holds)] = checked
+        assert holds and ell is a.length and reduced is a.reduced_length

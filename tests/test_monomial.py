@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +19,8 @@ from lenkrull.monomial import (
     minimalize,
 )
 from lenkrull.oracles import (
+    MAX_BOX_POINTS,
     StandardPair,
-    _gens_array,
     _saturation_members,
     local_multiplicity_oracle,
     standard_pairs,
@@ -257,22 +256,30 @@ class TestSaturationMembers:
         sat = face_saturation(stripped, outside)
         top = max(stripped.max_exponents()) + 2
         box = list(itertools.product(range(top), repeat=len(outside)))
-        points = np.array(box, dtype=np.int64).reshape(len(box), len(outside))
-        in_ideal, in_sat = _saturation_members(points, _gens_array(stripped)[:, outside])
-        for m, member, saturated in zip(box, in_ideal, in_sat):
+        gens = [tuple(g[j] for j in outside) for g in stripped.gens]
+        in_ideal, in_sat = _saturation_members(gens, [top] * len(outside))
+        for index, m in enumerate(box):
             full = [0] * ideal.n_vars
             for j, e in zip(outside, m):
                 full[j] = e
-            assert member == stripped.contains(tuple(full))
-            assert saturated == sat.contains(tuple(full))
+            assert bool(in_ideal >> index & 1) == stripped.contains(tuple(full))
+            assert bool(in_sat >> index & 1) == sat.contains(tuple(full))
+        assert in_sat >> len(box) == in_ideal >> len(box) == 0
 
-    def test_blocks_agree_with_one_block(self, monkeypatch):
-        gens = np.array([(3, 0, 1), (0, 2, 2), (1, 1, 0), (2, 0, 0)], dtype=np.int64)
-        points = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.int64)
-        whole = _saturation_members(points, gens)
-        monkeypatch.setattr(oracles, "BLOCK_ENTRIES", 5)
-        blocked = _saturation_members(points, gens)
-        assert all((a == b).all() for a, b in zip(whole, blocked))
+    def test_box_bound_refuses_before_any_mask_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a mask was built")
+
+        monkeypatch.setattr(oracles, "_repeat", build)
+        over = _ideal(2, (MAX_BOX_POINTS + 1, 0), (0, 1))
+        with pytest.raises(SizeBoundError, match=str(MAX_BOX_POINTS)):
+            local_multiplicity_oracle(over, set())
+        with pytest.raises(SizeBoundError, match=str(MAX_BOX_POINTS)):
+            standard_pairs(over)
+        monkeypatch.undo()
+        # the bound itself is accepted: k[x,y]/(x^N, y) has length N
+        at_bound = _ideal(2, (MAX_BOX_POINTS, 0), (0, 1))
+        assert local_multiplicity_oracle(at_bound, set()) == MAX_BOX_POINTS
 
 
 class TestLocalMultiplicityOracle:
@@ -298,6 +305,38 @@ class TestLocalMultiplicityOracle:
             # length of k[x,y]/(x,y)^n at the maximal ideal = n(n+1)/2
             assert local_multiplicity_oracle(ideal, set()) == n * (n + 1) // 2
 
+    def test_exponents_past_int64_are_refused(self):
+        ideal = _ideal(2, (2**70, 2))
+        with pytest.raises(SizeBoundError, match=str(MAX_BOX_POINTS)):
+            local_multiplicity_oracle(ideal, set())
+        # the face {1} leaves a box of 2**70 points on x alone
+        with pytest.raises(SizeBoundError, match=str(MAX_BOX_POINTS)):
+            local_multiplicity_oracle(ideal, {1})
+
+    @given(ideals(max_vars=4, max_gens=6, max_exp=4))
+    def test_every_face_matches_direct_enumeration(self, ideal):
+        """At each face, the count of box points (face coordinates 0) in the
+        saturation of the stripped ideal by the outside variables but not in
+        the stripped ideal, each point tested by ``_saturation_member``."""
+        n = ideal.n_vars
+        for mask in range(1 << n):
+            face = {i for i in range(n) if (mask >> i) & 1}
+            outside = [j for j in range(n) if j not in face]
+            if not outside:
+                assert local_multiplicity_oracle(ideal, face) == (1 if ideal.is_zero else 0)
+                continue
+            stripped = strip_variables(ideal, face)
+            d = stripped.max_exponents()
+            total = 0
+            for values in itertools.product(*(range(d[j] + 1) for j in outside)):
+                m = [0] * n
+                for j, e in zip(outside, values):
+                    m[j] = e
+                m = tuple(m)
+                if _saturation_member(stripped, m, outside) and not stripped.contains(m):
+                    total += 1
+            assert local_multiplicity_oracle(ideal, face) == total
+
 
 class TestStandardPairs:
     def test_example(self):
@@ -320,6 +359,10 @@ class TestStandardPairs:
     def test_box_limit(self):
         with pytest.raises(SizeBoundError):
             standard_pairs(_ideal(2, (10**4, 0), (0, 10**4)))
+
+    def test_exponents_past_int64_are_refused(self):
+        with pytest.raises(SizeBoundError, match=str(MAX_BOX_POINTS)):
+            standard_pairs(_ideal(2, (2**70, 2)))
 
     @given(ideals())
     def test_deterministic_and_canonically_ordered(self, ideal):

@@ -37,7 +37,8 @@ the offending argument) and never aborts a batch run.  Exit codes, the same for
 a request given as arguments and for a batch run: 0 success, 1 input error,
 2 verification failure.  A command line that argparse cannot read (an unknown
 command or option, a missing ring, a bad ``--output``) exits 1 with a usage
-message.
+message.  Output into a pipe whose reader has gone (``lenkrull --batch F |
+head -2``) stops at the first failed write and exits 1, without a traceback.
 
 Each command line is a fresh process, so what this module imports is paid by
 every request.  ``oracles`` (and ``random`` with it) loads on first use,
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -346,10 +348,15 @@ def parse_presentation(matrix_text: str, generators: str | None) -> ZPresentatio
 
 
 def _parse_int_option(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"--{name} expects an integer, got {value!r}") from None
+    """An optional ``-`` and the digits ``Scanner.nat`` reads; no sign ``+``,
+    blank or ``_``, which bare ``int()`` would take."""
+    digits = value[1:] if value.startswith("-") else value
+    if digits.isdecimal():
+        try:
+            return int(value)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise ParseError(f"--{name} expects an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -683,15 +690,30 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error[io]: {exc}", file=sys.stderr)
             return 1
-        for text in outputs:
-            print(text)
-        return code
+        return code if _write(outputs) else 1
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
     code, text = run_request(_request_from_args(args))
-    print(text)
-    return code
+    return code if _write((text,)) else 1
+
+
+def _write(texts) -> bool:
+    """Print each text as a line of stdout; False when the reader closed the pipe.
+
+    The Python docs' SIGPIPE recipe: stdout is pointed at ``os.devnull`` so
+    that the interpreter's final flush does not fail a second time.
+    """
+    try:
+        for text in texts:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ named below; everything else is computed here, apart from the engines:
   submodules exercise rank additivity (always) and torsion additivity
   (finite kernels), as well as invariance of the free rank under quotients
   by finite submodules.  The submodule's relations come from
-  ``kernel_columns``, the torsion samples from ``torsion_lattice_basis``,
+  ``kernel_columns`` projected to the submodule's t generators (its
+  ``keep=t``), the torsion samples from ``torsion_lattice_basis``,
   and all three modules of a sequence go through ``smith_normal_form``, so
   these suites check the Smith form against exactness, not against a second
   reduction;
@@ -580,9 +581,8 @@ def submodule_normal_form(pres: ZPresentation, gens: Sequence[Sequence[int]]) ->
         if len(v) != pres.generators:
             raise ValueError("submodule generator height mismatch")
     t = len(gcols)
-    kern = kernel_columns(pres.generators, tuple(gcols) + pres.relations)
-    rels = tuple(vec[:t] for vec in kern)
-    return smith_normal_form(ZPresentation(t, rels))
+    rels = kernel_columns(pres.generators, tuple(gcols) + pres.relations, keep=t)
+    return smith_normal_form(ZPresentation(t, tuple(rels)))
 
 
 def _torsion_count(nf: ZNormalForm) -> int:

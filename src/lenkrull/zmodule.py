@@ -6,12 +6,17 @@ invariants (free rank, invariant-factor chain), from which the per-coheight
 multiplicities over Z follow: the zero prime has coheight 1 and picks up the
 free rank, each finite prime p contributes v_p(d_i) at coheight 0.
 
-The reduction works on the transpose, one row per relation (a matrix and
-its transpose have the same invariant factors), and keeps only the diagonal.
-Pivoting is deterministic (smallest absolute value, ties by lowest
-(row, column) in the current matrix); each step works on the block not yet
-diagonal, divides with quotients rounded to the nearest integer, and clears
-the pivot's row in place once its column is clear.
+A presentation with at most one generator or at most one relation has the
+gcd g of all its entries as its only determinantal divisor, so its Smith form
+is read off g without any elimination: the free rank is the generator count
+less one when g is nonzero, and g is the one invariant factor when g > 1.
+Every other shape goes through the reduction.  It works on the transpose,
+one row per relation (a matrix and its transpose have the same invariant
+factors), and keeps only the diagonal.  Pivoting is deterministic (smallest
+absolute value, ties by lowest (row, column) in the current matrix); each
+step works on the block not yet diagonal, divides with quotients rounded to
+the nearest integer, and clears the pivot's row in place once its column is
+clear.
 
 The exact sequences of the additivity checks need integer kernels and the
 saturated torsion sublattice; ``kernel_columns`` finds a kernel by bringing
@@ -22,9 +27,12 @@ nonzero absolute value (among the columns not yet pivoted, ties by lowest
 column), made positive; every other column subtracts the nearest-integer
 multiple of the pivot column, in place and over that row and the rows below
 it only, and the rounds repeat until the pivot alone is nonzero in the row.
-Only the oracles call these two routines, but they stay here: the
-benchmark's tracer (``perfbench/worker.py``) times them as ``zmodule`` calls,
-and its tests pin that lookup.
+With ``keep=t`` the identity block carries only its first t rows: the pivots
+look at A's rows alone, so each basis vector comes back as exactly its first
+t coordinates, which is all a submodule's relations need.  Only the oracles
+call these two routines, but they stay here: the benchmark's tracer
+(``perfbench/worker.py``) times them as ``zmodule`` calls, and its tests pin
+that lookup.
 
 Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
 10^6 by default) with one early exit: once the divisor reaches
@@ -184,13 +192,24 @@ def _divisibility_chain(d: list[int]) -> list[int]:
 
 
 def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
-    # a matrix and its transpose have the same invariant factors
-    chain = _divisibility_chain(_smith_reduce(list(map(list, pres.relations)), pres.generators))
+    """Free rank and invariant-factor chain of the cokernel of ``pres``.
+
+    With at most one generator or at most one relation, the gcd g of all the
+    entries is the only determinantal divisor: the free rank is the
+    generator count less [g != 0], and the chain is (g,) when g > 1.  Any
+    other shape is diagonalized by ``_smith_reduce`` on the transpose (a
+    matrix and its transpose have the same invariant factors).
+    """
+    rels = pres.relations
+    if pres.generators <= 1 or len(rels) <= 1:
+        g = gcd(*[x for col in rels for x in col])
+        return ZNormalForm(pres.generators - (g != 0), (g,) if g > 1 else ())
+    chain = _divisibility_chain(_smith_reduce(list(map(list, rels)), pres.generators))
     # the chain is ordered by divisibility, so its units come first
     return ZNormalForm(pres.generators - len(chain), tuple(chain[chain.count(1) :]))
 
 
-def kernel_columns(k: int, columns: Sequence[Vector]) -> list[Vector]:
+def kernel_columns(k: int, columns: Sequence[Vector], keep: int | None = None) -> list[Vector]:
     """Basis of the integer kernel of the k-row matrix A with the given columns.
 
     Unimodular column operations bring [A; I] to column echelon form, row by
@@ -201,14 +220,19 @@ def kernel_columns(k: int, columns: Sequence[Vector]) -> list[Vector]:
     rounds repeat until the pivot alone is nonzero in row r.  Earlier pivots
     left those columns zero in the rows above r, so each operation runs over
     rows r.. only.  The columns whose A part ends up zero hold a kernel basis
-    in their identity part.
+    in their identity part.  With ``keep=t`` the identity part holds only
+    its first t rows, and each basis vector comes back as its first t
+    coordinates: the pivots read A's rows alone, so nothing else changes.
     """
     m = len(columns)
-    n = k + m
+    if keep is None:
+        keep = m
+    n = k + keep
     cols = []
     for j, col in enumerate(columns):
-        c = list(col) + [0] * m
-        c[k + j] = 1
+        c = list(col) + [0] * keep
+        if j < keep:
+            c[k + j] = 1
         cols.append(c)
     t = 0
     for r in range(k):

@@ -448,6 +448,88 @@ def test_batch_answers_the_lines_after_a_refused_ideal_size(tmp_path):
     assert cli.run_batch(str(batch), "text") == (1, [GOLDEN_Z_MOD_2_TEXT, refusal, GOLDEN_6_X2])
 
 
+class TestIntegerOptions:
+    """--free, --trials, --seed and --generators read an optional '-' and the
+    digits Scanner.nat reads, nothing else that int() would take."""
+
+    @pytest.mark.parametrize("value", ["2_0", "+2", " 2", "2 ", "-", "--2", "", "1e3", "0x1", "²"])
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("free", "localpid --free {}"),
+            ("trials", "verify --suite sigmaprime --trials {}"),
+            ("seed", "verify --suite sigmaprime --seed {}"),
+            ("generators", "zmodule --matrix '[]' --generators {}"),
+        ],
+        ids=["free", "trials", "seed", "generators"],
+    )
+    def test_refused(self, name, line, value):
+        # argparse and the batch-line parser give the option the same string
+        request = cli.parse_request_line(line.format(shlex.quote(value)))
+        assert dict(request.options)[name] == value
+        assert cli.run_request(request) == (
+            1,
+            f"error[parse]: --{name} expects an integer, got {value!r}",
+        )
+
+    def test_digit_limit_is_the_same_refusal(self):
+        assert run(f"localpid --free {NINES}") == (
+            1,
+            f"error[parse]: --free expects an integer, got {NINES!r}",
+        )
+
+    def test_signs_and_digits_still_read(self):
+        assert run("localpid --free -1") == (1, "error[parse]: --free must be non-negative")
+        assert run("verify --suite sigmaprime --trials -1") == (
+            1,
+            "error[parse]: --trials must be non-negative",
+        )
+        code, text = run("verify --suite sigmaprime --trials 2 --seed -5 --output json")
+        assert code == 0
+        assert json.loads(text)["suites"][0]["checked"] == 2
+        code, text = run("localpid --free 02 --output json")
+        assert code == 0
+        assert json.loads(text)["module"] == "A^2"
+        assert run("zmodule --matrix '[]' --generators ３")[0] == 0
+
+
+def test_single_request_into_a_closed_pipe_exits_1(tmp_path, monkeypatch):
+    """The in-process side of the closed-pipe handling: stdout's fd is pointed at devnull."""
+    with open(tmp_path / "sink", "w", encoding="utf-8") as sink:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["zmodule", "--matrix", "[[2]]"]) == 1
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+
+
+def test_batch_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    batch = tmp_path / "requests.txt"
+    # far more output than a pipe buffers, so the writes outlast the reader
+    batch.write_text("localpid --free 1\n" * 3000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lenkrull", "--batch", str(batch)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline() == b"ring: local PID with infinite residue field\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 # answers whose counts are products of two inputs within the digit limit
 LONG_ANSWERS = [
     (f"ring 'GF(2)[x,y]' --ideal 'x^{'9' * 2200}, y^{'9' * 2200}'", 4400),

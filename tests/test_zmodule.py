@@ -21,7 +21,9 @@ from lenkrull.zmodule import (
     length_vector_z,
     smith_normal_form,
     torsion_lattice_basis,
+    _divisibility_chain,
     _proven_prime,
+    _smith_reduce,
 )
 
 
@@ -146,6 +148,51 @@ class TestSmithNormalForm:
         nf = smith_normal_form(pres)
         assert (nf.free_rank, nf.invariant_factors) == _invariants_by_minor_gcds(pres)
 
+    def test_no_relation(self):
+        assert smith_normal_form(ZPresentation(3, ())) == ZNormalForm(3, ())
+
+    def test_only_zero_relations(self):
+        assert smith_normal_form(ZPresentation(1, ((0,), (0,), (0,)))) == ZNormalForm(1, ())
+        assert smith_normal_form(ZPresentation(4, ((0, 0, 0, 0),))) == ZNormalForm(4, ())
+
+    def test_one_generator_several_relations(self):
+        assert smith_normal_form(ZPresentation(1, ((-12,), (0,), (18,)))) == ZNormalForm(0, (6,))
+        assert smith_normal_form(ZPresentation(1, ((0,), (-8,)))) == ZNormalForm(0, (8,))
+        assert smith_normal_form(ZPresentation(1, ((6,), (-10,), (15,)))) == ZNormalForm(0, ())
+
+    def test_one_relation_several_generators(self):
+        assert smith_normal_form(ZPresentation(3, ((4, -6, 0),))) == ZNormalForm(2, (2,))
+        assert smith_normal_form(ZPresentation(3, ((0, -9, 0),))) == ZNormalForm(2, (9,))
+        assert smith_normal_form(ZPresentation(3, ((2, 3, -5),))) == ZNormalForm(2, ())
+
+    def test_zero_generators_with_relations(self):
+        assert smith_normal_form(ZPresentation(0, ((), ()))) == ZNormalForm(0, ())
+
+    @given(
+        st.one_of(
+            st.integers(0, 4).flatmap(
+                lambda m: st.lists(
+                    st.integers(-(10**12), 10**12).map(lambda x: (x,)), min_size=m, max_size=m
+                ).map(lambda cols: ZPresentation(1, tuple(cols)))
+            ),
+            st.integers(1, 4).flatmap(
+                lambda k: st.lists(st.integers(-(10**12), 10**12), min_size=k, max_size=k).map(
+                    lambda col: ZPresentation(k, (tuple(col),))
+                )
+            ),
+        )
+    )
+    def test_gcd_shapes_match_minors_and_the_elimination(self, pres):
+        """The closed form for one generator or one relation against both the
+        minor-gcd oracle and the reduction it bypasses."""
+        nf = smith_normal_form(pres)
+        assert (nf.free_rank, nf.invariant_factors) == _invariants_by_minor_gcds(pres)
+        chain = _divisibility_chain(
+            _smith_reduce(list(map(list, pres.relations)), pres.generators)
+        )
+        assert nf.free_rank == pres.generators - len(chain)
+        assert nf.invariant_factors == tuple(d for d in chain if d != 1)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_recovers_the_chain_of_a_mixed_diagonal(self, seed):
         pres, expected = _mixed_presentation(seed)
@@ -182,6 +229,15 @@ def _check_kernel(pres: ZPresentation) -> None:
     assert _maximal_minor_gcd(basis, len(pres.relations)) == 1
 
 
+def _check_keep(pres: ZPresentation) -> None:
+    """keep=t gives exactly the first t coordinates of the full basis, for every t."""
+    full = kernel_columns(pres.generators, pres.relations)
+    assert kernel_columns(pres.generators, pres.relations, keep=None) == full
+    for t in range(len(pres.relations) + 1):
+        kept = kernel_columns(pres.generators, pres.relations, keep=t)
+        assert kept == [vec[:t] for vec in full]
+
+
 class TestKernels:
     @given(presentations())
     def test_kernel_vectors_annihilate_and_count(self, pres):
@@ -190,6 +246,28 @@ class TestKernels:
     @given(presentations(bound=10**12))
     def test_kernel_vectors_annihilate_and_count_on_large_entries(self, pres):
         _check_kernel(pres)
+
+    @given(presentations())
+    def test_keep_is_the_projection_of_the_full_basis(self, pres):
+        _check_keep(pres)
+
+    @given(presentations(bound=10**12))
+    def test_keep_is_the_projection_of_the_full_basis_on_large_entries(self, pres):
+        _check_keep(pres)
+
+    def test_full_basis_is_unchanged(self):
+        # the bases returned before ``keep`` existed
+        assert kernel_columns(2, [(2, 4), (3, 6), (1, 2), (0, 0)]) == [
+            (0, 1, -3, 0),
+            (1, 0, -2, 0),
+            (0, 0, 0, 1),
+        ]
+        assert kernel_columns(1, [(6,), (10,), (15,)]) == [(-5, 3, 0), (0, -3, 2)]
+        assert kernel_columns(3, [(1, 2, 3), (4, 5, 6), (7, 8, 9), (-2, 0, 5)]) == [
+            (1, -2, 1, 0)
+        ]
+        assert kernel_columns(2, []) == []
+        assert kernel_columns(0, [(), ()]) == [(1, 0), (0, 1)]
 
     @given(presentations())
     def test_torsion_lattice_basis(self, pres):

@@ -314,12 +314,16 @@ def parse_presentation(matrix_text: str, generators: str | None) -> ZPresentatio
         raise ParseError(
             f"bad matrix JSON: an integer exceeds the {sys.get_int_max_str_digits()}-digit limit"
         ) from None
+    except RecursionError:
+        raise ParseError("bad matrix JSON: arrays or objects nested too deeply") from None
     if isinstance(data, dict):
         try:
             k = data["generators"]
             columns = data["relations"]
         except KeyError as exc:
             raise ParseError(f"matrix object is missing key {exc}") from None
+        if not isinstance(columns, list):
+            raise ParseError("matrix object key 'relations' must hold a JSON array")
     elif isinstance(data, list):
         columns = data
         k = None
@@ -687,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--batch cannot be combined with a subcommand")
         try:
             code, outputs = run_batch(args.batch, args.output)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error[io]: {exc}", file=sys.stderr)
             return 1
         return code if _write(outputs) else 1

@@ -12,14 +12,15 @@ part:
 
 * field base: the monomial prime of a face F has coheight |F|, so s lands
   unshifted;
-* integer base with variables, no integer generator: the module is free over
-  Z, every associated prime misses the integers and sits one step below a
-  maximal ideal, so s shifts up by one;
-* integer base with a squarefree integer generator m: the piece splits into
-  one prime-field factor per prime of m, so s is scaled by the number of
-  prime factors and lands unshifted;
-* bare integers: Smith normal form supplies rank (coheight 1) and torsion
-  (coheight 0).
+* integer base, no integer generator: the module is free over Z, every
+  associated prime misses the integers and sits one step below a maximal
+  ideal, so s shifts up by one;
+* integer base with an integer generator m: one prime-field layer per
+  prime factor of m, counted with multiplicity, so s is scaled by Omega(m)
+  and lands unshifted (with variables m must be squarefree).
+
+Over the bare integers s is {0: 1}, so Z/m counts Omega(m) at coheight 0
+and Z its rank at coheight 1; only integer presentations use Smith form.
 
 A prime-power integer generator together with variables is refused rather
 than approximated: splitting it needs additivity at embedded primes, which
@@ -187,35 +188,23 @@ class CBResult(Value):
 
 def _piece_vector(ring: RingDescriptor, piece: CyclicPiece) -> dict[int, int]:
     counts = face_count_vector(piece.monomial_part)
-    if ring.base in ("GF", "Q"):
-        if piece.integer_part:
-            raise UnsupportedError(
-                f"integer generator {piece.integer_part} is not allowed over {ring}"
-            )
-        return counts
     m = piece.integer_part
+    if ring.base in ("GF", "Q"):
+        if m:
+            raise UnsupportedError(f"integer generator {m} is not allowed over {ring}")
+        return counts
     if m == 0:
         return {f + 1: c for f, c in counts.items()}
+    if not counts:
+        return counts  # the unit ideal: the piece is zero whatever m is
     exponents = zmodule.prime_exponents(m)
-    if any(e > 1 for e in exponents):
+    if ring.vars and any(e > 1 for e in exponents):
         raise UnsupportedError(
             f"integer generator {m} is not squarefree; only squarefree integers "
             "may be combined with polynomial variables"
         )
-    t = len(exponents)
-    if t == 0:
-        return {}
+    t = sum(exponents)
     return {f: t * c for f, c in counts.items()}
-
-
-def _pieces_presentation(pieces: tuple[CyclicPiece, ...]) -> ZPresentation:
-    columns = []
-    k = len(pieces)
-    for i, piece in enumerate(pieces):
-        m = 1 if piece.monomial_part.is_unit else piece.integer_part
-        if m:
-            columns.append(tuple(m if j == i else 0 for j in range(k)))
-    return ZPresentation(k, tuple(columns))
 
 
 def length_vector(module: ModuleDescriptor) -> LengthVector:
@@ -224,16 +213,9 @@ def length_vector(module: ModuleDescriptor) -> LengthVector:
         return LengthVector.from_counts(
             zmodule.length_vector_z(zmodule.smith_normal_form(module.presentation))
         )
-    ring = module.ring
-    if ring.base == "Z" and not ring.vars:
-        return LengthVector.from_counts(
-            zmodule.length_vector_z(
-                zmodule.smith_normal_form(_pieces_presentation(module.pieces))
-            )
-        )
     total: dict[int, int] = {}
     for piece in module.pieces:
-        for alpha, count in _piece_vector(ring, piece).items():
+        for alpha, count in _piece_vector(module.ring, piece).items():
             total[alpha] = total.get(alpha, 0) + count
     return LengthVector.from_counts(total)
 

@@ -250,8 +250,7 @@ def check_length_recursion(group: FiniteAbelianGroup) -> bool:
             ),
         )
     )
-    torsion = sum(count_prime_factors(d) for d in nf.invariant_factors)
-    return recursive_length(group) == expected == torsion
+    return recursive_length(group) == expected == _torsion_count(nf)
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:

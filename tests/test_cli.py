@@ -85,10 +85,30 @@ def test_ring_factorizes_its_integer_generator_once(monkeypatch):
         return real(n, bound)
 
     monkeypatch.setattr(zmodule, "factorize", counted)
-    zmodule._prime_exponents.cache_clear()
-    code, _ = run(f"ring 'Z[x,y]' --ideal '{m}, x^2, y^3'")
-    assert code == 0
-    assert calls.count(m) == 1
+    for line in (f"ring 'Z[x,y]' --ideal '{m}, x^2, y^3'", f"ring Z --ideal {m}"):
+        calls.clear()
+        zmodule._prime_exponents.cache_clear()
+        code, _ = run(line)
+        assert code == 0
+        assert calls.count(m) == 1, line
+
+
+def test_bare_integer_pieces_never_reach_smith_normal_form(monkeypatch):
+    def refuse(pres):
+        raise AssertionError(f"smith_normal_form called on {pres}")
+
+    monkeypatch.setattr(zmodule, "smith_normal_form", refuse)
+    expected = {
+        "ring Z": {"1": 1},
+        "ring Z --ideal 12": {"0": 3},
+        "ring Z --ideal '12, 1'": {},
+        "module Z --pieces '(6) (+) (0) (+) (1) (+) (8)'": {"0": 5, "1": 1},
+        "module Z --pieces '(1000003) (+) (1000033)'": {"0": 2},
+    }
+    for line, vector in expected.items():
+        code, text = run(line + " --output json")
+        assert code == 0
+        assert json.loads(text)["length_vector"] == vector
 
 
 def test_negative_factor_bound_is_refused(monkeypatch):
@@ -431,6 +451,33 @@ class TestIntegerTextLimits:
             1,
             [GOLDEN_Z_MOD_2_TEXT, refusal, GOLDEN_Z_MOD_2_TEXT],
         )
+
+
+def test_batch_answers_the_line_after_a_deeply_nested_matrix(tmp_path):
+    batch = tmp_path / "requests.txt"
+    batch.write_text(
+        "zmodule --matrix '" + "[" * 50_000 + "'\nzmodule --matrix '[[2]]'\n", encoding="utf-8"
+    )
+    refusal = "error[parse]: bad matrix JSON: arrays or objects nested too deeply"
+    assert cli.run_batch(str(batch), "text") == (1, [refusal, GOLDEN_Z_MOD_2_TEXT])
+
+
+@pytest.mark.parametrize("relations", ["5", "null", '""', '{"a": [2]}'])
+def test_matrix_object_relations_must_be_an_array(relations):
+    matrix = '{"generators": 2, "relations": ' + relations + "}"
+    assert run(f"zmodule --matrix {shlex.quote(matrix)}") == (
+        1,
+        "error[parse]: matrix object key 'relations' must hold a JSON array",
+    )
+
+
+def test_batch_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
+    batch = tmp_path / "requests.txt"
+    batch.write_bytes(b"ring Z\n\xff\n")
+    assert cli.main(["--batch", str(batch)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[io]: 'utf-8' codec can't decode byte 0xff in position 7")
 
 
 def test_batch_answers_the_lines_after_a_refused_ideal_size(tmp_path):

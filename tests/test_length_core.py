@@ -22,7 +22,7 @@ from lenkrull.length_core import (
 )
 from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
-from lenkrull.zmodule import ZPresentation
+from lenkrull.zmodule import ZPresentation, length_vector_z, smith_normal_form
 
 GF2 = RingDescriptor("GF", 2)
 Z = RingDescriptor("Z")
@@ -90,11 +90,34 @@ class TestLengthVectorExamples:
         m = module(Z, CyclicPiece(4, minimalize(0, [])), CyclicPiece(0, minimalize(0, [])))
         assert length_vector(m) == vec({1: 1, 0: 2})
 
+    def test_unit_piece_leaves_its_integer_unfactored(self):
+        # factorize refuses this m, but (m, 1) is the unit ideal whatever m is
+        unit = CyclicPiece(1000003 * 1000033, minimalize(0, [()]))
+        assert length_vector(module(Z, unit)).is_zero
+
     def test_zero_module(self):
         r = ring("GF", "x", p=5)
         m = module(r, piece(r, gens=[(0,)]))
         assert length_vector(m).is_zero
         assert length(length_vector(m)) == Ordinal.zero()
+
+
+@st.composite
+def bare_integer_modules(draw):
+    """1-6 pieces Z/m, each with a zero or unit monomial part."""
+    pieces = draw(
+        st.lists(st.tuples(st.integers(0, 10**4), st.booleans()), min_size=1, max_size=6)
+    )
+    return [CyclicPiece(m, minimalize(0, [()] if unit else [])) for m, unit in pieces]
+
+
+@given(bare_integer_modules())
+def test_bare_integer_pieces_agree_with_the_smith_form_of_their_diagonal(pieces):
+    k = len(pieces)
+    diagonal = [1 if p.monomial_part.is_unit else p.integer_part for p in pieces]
+    columns = tuple(tuple(d if j == i else 0 for j in range(k)) for i, d in enumerate(diagonal))
+    expected = length_vector_z(smith_normal_form(ZPresentation(k, columns)))
+    assert length_vector(module(Z, *pieces)) == vec(expected)
 
 
 class TestValidation:

@@ -213,7 +213,10 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
     to an integer generator 1 over the integers), and a later factor may be any
     number of value 1; any other bare number starting a generator is an
     integer generator, and 0 contributes nothing.  A factor's whitespace is
-    read with it, so a separator starts at ``sc.pos``.
+    read with it, so a separator starts at ``sc.pos``.  With variables the
+    integer must be squarefree, which is tested once every generator is read:
+    a unit monomial makes the piece zero whatever the integer is, so it skips
+    the test.
     """
     index = {name: i for i, name in enumerate(ring.vars)}
     text = sc.text
@@ -235,13 +238,9 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
                     "at most one is allowed",
                     start,
                 )
-            elif ring.vars and not is_squarefree(value):
-                raise UnsupportedError(
-                    f"integer generator {value} is not squarefree (position {start})",
-                    (start, start + len(text[start : sc.pos].rstrip())),
-                )
             else:
                 integer_part = value
+                integer_span = (start, start + len(text[start : sc.pos].rstrip()))
         else:
             exps = [0] * len(index)
             while True:
@@ -258,6 +257,11 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
             break
         sc.pos += 1
     ideal = minimalize(len(ring.vars), monomials)
+    if integer_part and ring.vars and not ideal.is_unit and not is_squarefree(integer_part):
+        raise UnsupportedError(
+            f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
+            integer_span,
+        )
     return CyclicPiece(integer_part, ideal)
 
 

@@ -20,7 +20,7 @@ Python converts to no text, makes ``str`` raise ``SizeBoundError``.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .errors import ParseError, SizeBoundError
 from .scan import Scanner
@@ -73,14 +73,6 @@ class Ordinal(Value):
                 terms.append((exponent, count))
         return cls(tuple(terms))
 
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "Ordinal":
-        return cls(tuple((int(e), int(c)) for e, c in data))
-
-    @classmethod
-    def parse(cls, text: str) -> "Ordinal":
-        return parse(text)
-
     # -- arithmetic ----------------------------------------------------
 
     def add(self, other: "Ordinal") -> "Ordinal":
@@ -123,9 +115,6 @@ class Ordinal(Value):
         if self.is_successor:
             return self.terms[-1][1]
         return 0
-
-    def to_json(self) -> list[list[int]]:
-        return [[e, c] for e, c in self.terms]
 
     # -- order and rendering -------------------------------------------
 
@@ -174,7 +163,6 @@ def _int_text(n: int) -> str:
 
 
 ZERO = Ordinal.zero()
-ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((1, 1),))
 
 

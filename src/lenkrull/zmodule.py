@@ -34,8 +34,8 @@ call these two routines, but they stay here: the benchmark's tracer
 (``perfbench/worker.py``) times them as ``zmodule`` calls, and its tests pin
 that lookup.
 
-Factorization is trial division up to a bound (``LENKRULL_FACTOR_BOUND``,
-10^6 by default) with one early exit: once the divisor reaches
+Factorization is trial division up to ``FACTOR_BOUND`` (10^6), a fixed cap
+that nothing overrides, with one early exit: once the divisor reaches
 ``PRIME_TEST_FROM``, and again after every division past that point, the
 cofactor gets a deterministic Miller-Rabin test with the first 13 primes
 2, 3, 5, ..., 41 as bases.  No composite below ``MILLER_RABIN_LIMIT``
@@ -50,7 +50,6 @@ by its number of digits, since Python converts no integer of more than
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd
@@ -58,8 +57,7 @@ from math import gcd
 from .errors import FactorBoundError
 from .value import Value
 
-DEFAULT_FACTOR_BOUND = 10**6
-FACTOR_BOUND_ENV = "LENKRULL_FACTOR_BOUND"
+FACTOR_BOUND = 10**6
 # trial divisor (5 mod 6) from which factorize tests its cofactor for primality
 PRIME_TEST_FROM = 1001
 # the first 13 primes: a strong probable prime to all of them below the limit
@@ -279,28 +277,7 @@ def torsion_lattice_basis(pres: ZPresentation) -> list[Vector]:
     return kernel_columns(len(left), [tuple(y[i] for y in left) for i in range(k)])
 
 
-def _factor_bound(bound: int | None) -> int:
-    """The trial-division bound: ``bound``, else the environment, else the default.
-
-    A negative or non-integer bound is refused before any work: a negative one
-    would try no divisor past 3 and accept composite cofactors as prime.
-    """
-    if bound is None:
-        raw = os.environ.get(FACTOR_BOUND_ENV)
-        if not raw:
-            return DEFAULT_FACTOR_BOUND
-        try:
-            bound = int(raw)
-        except ValueError:
-            bound = -1
-        if bound < 0:
-            raise FactorBoundError(f"{FACTOR_BOUND_ENV}={raw!r} is not a non-negative integer")
-    elif bound < 0:
-        raise FactorBoundError(f"factor bound {bound} is negative")
-    return bound
-
-
-def factorize(n: int, bound: int | None = None) -> dict[int, int]:
+def factorize(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
     """Prime factorization by trial division up to ``bound``.
 
     A cofactor with no prime divisor <= bound is prime whenever it is at most
@@ -315,10 +292,14 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     exactly when it is below d_end**2.  Setting d = d_end reproduces that
     test, so answers and refusals do not change; a prime between bound**2
     and d_end**2 is accepted, as before.
+
+    A negative bound is refused before any work: it would try no divisor past
+    3 and accept composite cofactors as prime.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
-    limit = _factor_bound(bound)
+    if bound < 0:
+        raise FactorBoundError(f"factor bound {bound} is negative")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -326,11 +307,11 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
             n //= p
     d = 5
     untested = True
-    while d <= limit and d * d <= n:
+    while d <= bound and d * d <= n:
         if untested and d >= PRIME_TEST_FROM:
             untested = False
             if _proven_prime(n):
-                d += 6 * ((limit - d) // 6 + 1)
+                d += 6 * ((bound - d) // 6 + 1)
                 break
         for p in (d, d + 2):
             while n % p == 0:
@@ -339,10 +320,10 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
                 untested = True
         d += 6
     if n > 1:
-        if d * d <= n and n > limit * limit:
+        if d * d <= n and n > bound * bound:
             shown = n if n < SHOWN_BELOW else f"a {_decimal_digits(n)}-digit cofactor"
             raise FactorBoundError(
-                f"cannot certify a factorization of {shown}: no prime divisor up to {limit}"
+                f"cannot certify a factorization of {shown}: no prime divisor up to {bound}"
             )
         out[n] = out.get(n, 0) + 1
     return out
@@ -382,46 +363,36 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
-def count_prime_factors(n: int, bound: int | None = None) -> int:
+def count_prime_factors(n: int) -> int:
     """Number of prime factors with multiplicity (the length of Z/n)."""
-    return sum(factorize(n, bound).values())
-
-
-def prime_exponents(n: int, bound: int | None = None) -> tuple[int, ...]:
-    """Exponents of the prime factorization of n, in increasing order of prime."""
-    return _prime_exponents(n, _factor_bound(bound))
+    return sum(factorize(n).values())
 
 
 @lru_cache(maxsize=256)
-def _prime_exponents(n: int, limit: int) -> tuple[int, ...]:
-    # memoised because a ring's integer generator is tested for squarefreeness
-    # where its text is parsed and factored again for its prime count in
-    # length_core
-    return tuple(factorize(n, limit).values())
+def prime_exponents(n: int) -> tuple[int, ...]:
+    """Exponents of the prime factorization of n, in increasing order of prime.
+
+    Memoised because the parser and ``length_core`` each ask about the same
+    integer generator and the same GF(p), through ``is_squarefree``,
+    ``is_prime`` and this function.
+    """
+    return tuple(factorize(n).values())
 
 
-def is_squarefree(n: int, bound: int | None = None) -> bool:
-    return all(e == 1 for e in prime_exponents(n, bound))
+def is_squarefree(n: int) -> bool:
+    return all(e == 1 for e in prime_exponents(n))
 
 
-def is_prime(n: int, bound: int | None = None) -> bool:
-    return _is_prime(n, _factor_bound(bound))
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_exponents(n) == (1,)
 
 
-@lru_cache(maxsize=256)
-def _is_prime(n: int, limit: int) -> bool:
-    # memoised because a GF(p) ring is checked both where its text is parsed
-    # and where its RingDescriptor is built, and a p with no proven-prime
-    # cofactor is still trial-divided up to the bound
-    return n >= 2 and factorize(n, limit) == {n: 1}
-
-
-def length_vector_z(nf: ZNormalForm, bound: int | None = None) -> dict[int, int]:
+def length_vector_z(nf: ZNormalForm) -> dict[int, int]:
     """Per-coheight multiplicities over Z: rank at 1, sum of v_p(d_i) at 0."""
     vec: dict[int, int] = {}
     if nf.free_rank:
         vec[1] = nf.free_rank
-    torsion = sum(count_prime_factors(d, bound) for d in nf.invariant_factors)
+    torsion = sum(count_prime_factors(d) for d in nf.invariant_factors)
     if torsion:
         vec[0] = torsion
     return vec

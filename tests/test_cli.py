@@ -49,6 +49,18 @@ class TestIntegerGenerator:
             "module 'Z[x]' --pieces '(6, x^2) (+) (x)'"
         )
 
+    def test_unit_ideal_skips_the_squarefree_test(self):
+        # the unit monomial makes the piece zero, so the integer is never factored
+        expected = {
+            "ring 'Z[x,y]' --ideal 'x, 1, 12'": {},
+            "module 'Z[x]' --pieces '(4, 1) (+) (x)'": {"1": 1},
+            "ring 'Z[x]' --ideal '1000036000099, 1'": {},
+        }
+        for line, vector in expected.items():
+            code, text = run(line + " --output json")
+            assert code == 0, text
+            assert json.loads(text)["length_vector"] == vector, line
+
     def test_second_integer_generator_refused(self):
         for ideal in ("6, x^2, 10", "x^2, 6, 6"):
             code, text = run(f"ring 'Z[x,y]' --ideal '{ideal}' --output json")
@@ -64,12 +76,12 @@ def test_gf_ring_factorizes_its_characteristic_once(monkeypatch):
     calls = []
     real = zmodule.factorize
 
-    def counted(n, bound=None):
+    def counted(n):
         calls.append(n)
-        return real(n, bound)
+        return real(n)
 
     monkeypatch.setattr(zmodule, "factorize", counted)
-    zmodule._is_prime.cache_clear()
+    zmodule.prime_exponents.cache_clear()
     code, _ = run(f"ring 'GF({p})[x,y]' --ideal 'x^2, y^3'")
     assert code == 0
     assert calls.count(p) == 1
@@ -80,14 +92,14 @@ def test_ring_factorizes_its_integer_generator_once(monkeypatch):
     calls = []
     real = zmodule.factorize
 
-    def counted(n, bound=None):
+    def counted(n):
         calls.append(n)
-        return real(n, bound)
+        return real(n)
 
     monkeypatch.setattr(zmodule, "factorize", counted)
     for line in (f"ring 'Z[x,y]' --ideal '{m}, x^2, y^3'", f"ring Z --ideal {m}"):
         calls.clear()
-        zmodule._prime_exponents.cache_clear()
+        zmodule.prime_exponents.cache_clear()
         code, _ = run(line)
         assert code == 0
         assert calls.count(m) == 1, line
@@ -111,13 +123,12 @@ def test_bare_integer_pieces_never_reach_smith_normal_form(monkeypatch):
         assert json.loads(text)["length_vector"] == vector
 
 
-def test_negative_factor_bound_is_refused(monkeypatch):
-    monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "-10")
-    code, text = run("zmodule --matrix '[[91]]'")
-    assert (code, text) == (
-        1,
-        "error[factor-bound]: LENKRULL_FACTOR_BOUND='-10' is not a non-negative integer",
-    )
+def test_factor_bound_ignores_the_environment(monkeypatch):
+    # the trial-division bound is zmodule.FACTOR_BOUND; this variable once lowered it
+    monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "10")
+    code, text = run("zmodule --matrix '[[10403]]' --output json")
+    assert code == 0
+    assert json.loads(text)["length_vector"] == {"0": 2}
 
 
 def test_verify_oracle_equivalence_suite():
@@ -673,18 +684,20 @@ def scanner_parse_gens(sc, ring, stop):
                     "at most one is allowed",
                     start,
                 )
-            elif ring.vars and not zmodule.is_squarefree(value):
-                raise UnsupportedError(
-                    f"integer generator {value} is not squarefree (position {start})",
-                    (start, sc.pos),
-                )
             else:
                 integer_part = value
+                integer_span = (start, sc.pos)
         else:
             monomials.append(_scanner_monomial(sc, ring))
         if not sc.try_lit(","):
             break
-    return CyclicPiece(integer_part, minimalize(len(ring.vars), monomials))
+    ideal = minimalize(len(ring.vars), monomials)
+    if integer_part and ring.vars and not ideal.is_unit and not zmodule.is_squarefree(integer_part):
+        raise UnsupportedError(
+            f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
+            integer_span,
+        )
+    return CyclicPiece(integer_part, ideal)
 
 
 def scanner_parse_ideal(ring, text):
@@ -751,6 +764,12 @@ class TestIdealParser:
             )),
             ("x*01*１*y", CyclicPiece(0, minimalize(4, [(1, 1, 0, 0)]))),
             ("１, é^2*xy", CyclicPiece(1, minimalize(4, [(0, 0, 2, 1)]))),
+            ("12, 1", CyclicPiece(12, minimalize(4, [(0, 0, 0, 0)]))),
+            ("x, 12 , y", (
+                "UnsupportedError",
+                "integer generator 12 is not squarefree (position 3)",
+                (3, 5),
+            )),
             ("²", ("ParseError", "expected an identifier at position 0", (0, 1))),
             (f"x^{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
             (f"x*{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),

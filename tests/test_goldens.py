@@ -43,8 +43,7 @@ def run_case(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LENKRULL_FACTOR_BOUND", raising=False)
+def test_golden(name, tmp_path, capsys):
     case = GOLDENS[name]
     got = run_case(case, tmp_path, capsys)
     assert (got["code"], got["stdout"]) == (case["code"], case["stdout"])

@@ -22,6 +22,7 @@ from lenkrull.length_core import (
 )
 from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
+from lenkrull.ordinal import parse as ordinal
 from lenkrull.zmodule import ZPresentation, length_vector_z, smith_normal_form
 
 GF2 = RingDescriptor("GF", 2)
@@ -43,10 +44,6 @@ def piece(r, m=0, gens=()):
 
 def vec(mapping):
     return LengthVector.from_counts(mapping)
-
-
-def ordinal(text):
-    return Ordinal.parse(text)
 
 
 class TestRingDescriptor:

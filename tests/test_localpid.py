@@ -20,10 +20,7 @@ from lenkrull.localpid import (
 )
 from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
-
-
-def ordinal(text):
-    return Ordinal.parse(text)
+from lenkrull.ordinal import parse as ordinal
 
 
 def mod(free, torsion=()):

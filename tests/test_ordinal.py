@@ -36,11 +36,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Ordinal(((-1, 1),))
 
-    def test_json_round_trip(self):
-        a = Ordinal.from_length_vector({3: 2, 1: 1, 0: 5})
-        assert a.to_json() == [[3, 2], [1, 1], [0, 5]]
-        assert Ordinal.from_json(a.to_json()) == a
-
 
 class TestAdd:
     def test_absorption(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lenkrull.errors import FactorBoundError
 from lenkrull.oracles import factorize_by_trial_division, quotient_z, submodule_normal_form
 from lenkrull.zmodule import (
+    FACTOR_BOUND,
     MILLER_RABIN_LIMIT,
     PRIME_TEST_FROM,
     ZNormalForm,
@@ -339,33 +340,17 @@ class TestFactorization:
         with pytest.raises(FactorBoundError):
             factorize(101 * 103, bound=10)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "10")
-        with pytest.raises(FactorBoundError):
-            factorize(101 * 103)
-
     def test_negative_bound_refused_up_front(self):
         # a negative bound once tried no divisor past 3 and called 91 prime
         for factor in (factorize, factorize_by_trial_division):
             with pytest.raises(FactorBoundError, match=r"^factor bound -10 is negative$"):
                 factor(91, -10)
 
-    @pytest.mark.parametrize("raw", ["-10", "abc", "1e6"])
-    def test_bad_env_bound_refused(self, monkeypatch, raw):
-        monkeypatch.setenv("LENKRULL_FACTOR_BOUND", raw)
-        message = f"LENKRULL_FACTOR_BOUND={raw!r} is not a non-negative integer"
-        for call in (factorize, is_prime):
-            with pytest.raises(FactorBoundError) as err:
-                call(91)
-            assert str(err.value) == message
-
-    def test_bounds_zero_and_one_stay_exact(self, monkeypatch):
+    def test_bounds_zero_and_one_stay_exact(self):
         assert factorize(12, bound=0) == {2: 2, 3: 1}
         assert factorize(23, bound=1) == {23: 1}
         with pytest.raises(FactorBoundError):
             factorize(35, bound=1)
-        monkeypatch.setenv("LENKRULL_FACTOR_BOUND", "0")
-        assert factorize(24) == {2: 3, 3: 1}
 
 
 # -- factorize against plain trial division ------------------------------------
@@ -415,6 +400,7 @@ def _first_divisor_above(bound):
 
 
 smooth = st.lists(st.sampled_from(SMALL_PRIMES), max_size=4).map(prod)
+primes = st.integers(2, 10**5).map(lambda q: _prime_near(q, 1, 2 * q))
 
 
 class TestFactorizeAgainstTrialDivision:
@@ -485,6 +471,35 @@ class TestFactorizeAgainstTrialDivision:
     )
     def test_beyond_the_proven_range_with_a_small_bound(self, n, bound):
         _agrees(n, bound)
+
+
+class TestPrimeAndSquarefree:
+    """``is_prime`` and ``is_squarefree`` against trial division up to ``FACTOR_BOUND``."""
+
+    @given(
+        n=st.one_of(
+            st.integers(1, 10**11),
+            st.builds(lambda c, p, e: c * p**e, smooth, primes, st.integers(1, 2)),
+        )
+    )
+    def test_against_trial_division(self, n):
+        exponents = list(factorize_by_trial_division(n, FACTOR_BOUND).values())
+        assert is_prime(n) == (exponents == [1])
+        assert is_squarefree(n) == all(e == 1 for e in exponents)
+
+    def test_zero_and_one(self):
+        # GF(0) and GF(1) reach is_prime
+        assert not is_prime(0)
+        assert not is_prime(1)
+        assert is_squarefree(1)
+
+    def test_uncertifiable_composite_is_refused(self):
+        n = 1_000_003 * 1_000_033
+        with pytest.raises(FactorBoundError):
+            factorize_by_trial_division(n, FACTOR_BOUND)
+        for call in (is_prime, is_squarefree):
+            with pytest.raises(FactorBoundError, match="no prime divisor up to 1000000"):
+                call(n)
 
 
 class TestProvenPrime:

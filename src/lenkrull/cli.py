@@ -56,7 +56,7 @@ import re
 import sys
 
 from . import localpid as localpid_mod
-from .errors import LenkrullError, ParseError, SizeBoundError, UnsupportedError
+from .errors import FactorBoundError, LenkrullError, ParseError, SizeBoundError, UnsupportedError
 from .length_core import (
     CBResult,
     CyclicPiece,
@@ -130,14 +130,23 @@ class Request(Value):
         object.__setattr__(self, "output", output)
 
 
+def _pointed(test, n: int, span: tuple[int, int]) -> bool:
+    """``test(n)``, its factor-bound refusal pointed at n's text ``span``."""
+    try:
+        return test(n)
+    except FactorBoundError as exc:
+        raise FactorBoundError(exc.message, span) from None
+
+
 def parse_ring(text: str) -> RingDescriptor:
     """``Z | Q | GF(p)`` optionally followed by ``[var, var, ...]``."""
     sc = Scanner(text)
     if sc.try_lit("GF"):
         sc.expect_lit("(")
+        sc.skip_ws()
         p_start = sc.pos
         p = sc.nat()
-        if not is_prime(p):
+        if not _pointed(is_prime, p, (p_start, sc.pos)):
             sc.error(f"{p} is not prime", p_start)
         sc.expect_lit(")")
         base, char = "GF", p
@@ -257,11 +266,12 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
             break
         sc.pos += 1
     ideal = minimalize(len(ring.vars), monomials)
-    if integer_part and ring.vars and not ideal.is_unit and not is_squarefree(integer_part):
-        raise UnsupportedError(
-            f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
-            integer_span,
-        )
+    if integer_part and ring.vars and not ideal.is_unit:
+        if not _pointed(is_squarefree, integer_part, integer_span):
+            raise UnsupportedError(
+                f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
+                integer_span,
+            )
     return CyclicPiece(integer_part, ideal)
 
 
@@ -628,7 +638,7 @@ def run_request(req: Request) -> tuple[int, str]:
 
 def run_batch(path: str, default_output: str) -> tuple[int, list[str]]:
     """One request per line; ``#`` starts a comment; output keeps input order."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         lines = handle.read().splitlines()
     outputs: list[str] = []
     worst = 0

@@ -68,11 +68,6 @@ class RingDescriptor(Value):
         """True iff every finitely generated simple module is a finite set."""
         return self.base in ("Z", "GF")
 
-    @property
-    def dimension(self) -> int:
-        n = len(self.vars)
-        return n + 1 if self.base == "Z" else n
-
     def __str__(self) -> str:
         head = f"GF({self.p})" if self.base == "GF" else self.base
         if self.vars:
@@ -142,15 +137,6 @@ class LengthVector(Value):
     @property
     def is_zero(self) -> bool:
         return not self.counts
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def pointwise_add(self, other: "LengthVector") -> "LengthVector":
-        merged = self.as_dict()
-        for alpha, count in other.counts:
-            merged[alpha] = merged.get(alpha, 0) + count
-        return LengthVector.from_counts(merged)
 
     def shifted_down(self) -> "LengthVector":
         """Drop the coheight-0 entry and move every other coheight down by one."""
@@ -222,7 +208,7 @@ def length_vector(module: ModuleDescriptor) -> LengthVector:
 
 def length(vector: LengthVector) -> Ordinal:
     """Sum of w^alpha * multiplicity, taken from the largest coheight down."""
-    return Ordinal.from_length_vector(vector.as_dict())
+    return Ordinal.from_length_vector(dict(vector.counts))
 
 
 def reduced_length(vector: LengthVector) -> Ordinal:
@@ -317,7 +303,7 @@ def analyze(module: ModuleDescriptor) -> ModuleAnalysis:
     reduced = reduced_length(vector)
     if not check_length_identity(vector, ell, reduced):
         raise RuntimeError(
-            f"length identity fails for the length vector {vector.as_dict()}"
+            f"length identity fails for the length vector {dict(vector.counts)}"
         )
     return ModuleAnalysis(
         ring=str(module.ring),

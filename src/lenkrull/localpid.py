@@ -50,34 +50,23 @@ class LocalPIDModule(Value):
     def from_mapping(cls, free_rank: int, torsion: Mapping[int, int]) -> "LocalPIDModule":
         return cls(free_rank, tuple(sorted((i, n) for i, n in torsion.items() if n)))
 
-    def torsion_dict(self) -> dict[int, int]:
-        return dict(self.torsion)
-
 
 def torsion_length(torsion: Mapping[int, int]) -> int:
     """Finite length of the torsion part: sum of exponent * count."""
     return sum(i * n for i, n in torsion.items() if n)
 
 
-def top_torsion_exponent(torsion: Mapping[int, int]) -> int:
-    """Largest exponent with a summand; 0 for no torsion."""
-    live = [i for i, n in torsion.items() if n]
-    return max(live) if live else 0
-
-
-def adjusted_torsion_length(torsion: Mapping[int, int]) -> int:
-    """Torsion length minus the top exponent (0 for no torsion)."""
-    return torsion_length(torsion) - top_torsion_exponent(torsion)
-
-
 def cb_rank_local_pid(module: LocalPIDModule) -> Ordinal:
-    """Exact Cantor-Bendixson rank; the free rank enters through its parity."""
-    torsion = module.torsion_dict()
+    """Exact Cantor-Bendixson rank; the free rank enters through its parity.
+
+    The top exponent k is the last torsion exponent, since they increase.
+    """
+    finite = torsion_length(dict(module.torsion))
     half, odd = divmod(module.free_rank, 2)
     if odd:
-        finite = torsion_length(torsion) + 1
-    else:
-        finite = adjusted_torsion_length(torsion)
+        finite += 1
+    elif module.torsion:
+        finite -= module.torsion[-1][0]
     return Ordinal.from_length_vector({1: half, 0: finite})
 
 
@@ -89,6 +78,4 @@ def lengths_local_pid(module: LocalPIDModule) -> tuple[Ordinal, Ordinal]:
 
 def length_vector_local_pid(module: LocalPIDModule) -> LengthVector:
     """Coheight bookkeeping of the module: rank at coheight 1, torsion length at 0."""
-    return LengthVector.from_counts(
-        {1: module.free_rank, 0: torsion_length(module.torsion_dict())}
-    )
+    return LengthVector.from_counts({1: module.free_rank, 0: torsion_length(dict(module.torsion))})

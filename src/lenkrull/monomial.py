@@ -133,18 +133,6 @@ class MonomialIdeal(Value):
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and not any(self.gens[0])
 
-    def contains(self, monomial: Monomial) -> bool:
-        return any(_divides(g, monomial) for g in self.gens)
-
-    def max_exponents(self) -> tuple[int, ...]:
-        if not self.gens:
-            return (0,) * self.n_vars
-        return tuple(max(g[i] for g in self.gens) for i in range(self.n_vars))
-
-
-def _divides(g: Monomial, m: Monomial) -> bool:
-    return all(map(operator.le, g, m))
-
 
 def _undominated(gens: list[Monomial]) -> tuple[Monomial, ...]:
     """The generators of the sorted, duplicate-free list ``gens`` that no

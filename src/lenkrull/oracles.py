@@ -490,7 +490,7 @@ def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
     n = ideal.n_vars
     if ideal.is_unit:
         return ()
-    bounds = [max(b, 1) for b in ideal.max_exponents()]
+    bounds = [max(1, *column) for column in zip(*ideal.gens)] or [1] * n
     _box_size(bounds)
     pairs: list[StandardPair] = []
     for mask in _face_masks(n):

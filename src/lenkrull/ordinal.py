@@ -10,9 +10,7 @@ exponent.
 
 Canonical string form: ``w`` for the first infinite ordinal, ``^`` for the
 exponent, ``*`` for the coefficient, `` + `` between terms, terms in
-decreasing exponent order (e.g. ``w^2*3 + w + 4``).  ``parse`` accepts terms
-in any order and folds them with ordinal addition; ``format`` always emits
-the canonical decreasing order, so ``parse(format(a)) == a``.  An exponent or
+decreasing exponent order (e.g. ``w^2*3 + w + 4``).  An exponent or
 coefficient of more than ``sys.get_int_max_str_digits()`` digits, which
 Python converts to no text, makes ``str`` raise ``SizeBoundError``.
 """
@@ -22,8 +20,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 
-from .errors import ParseError, SizeBoundError
-from .scan import Scanner
+from .errors import SizeBoundError
 from .value import Value
 from .zmodule import _decimal_digits
 
@@ -109,13 +106,6 @@ class Ordinal(Value):
     def is_successor(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] == 0
 
-    @property
-    def finite_part(self) -> int:
-        """Coefficient of w^0."""
-        if self.is_successor:
-            return self.terms[-1][1]
-        return 0
-
     # -- order and rendering -------------------------------------------
 
     def __lt__(self, other: "Ordinal") -> bool:
@@ -162,29 +152,4 @@ def _int_text(n: int) -> str:
         ) from None
 
 
-ZERO = Ordinal.zero()
 OMEGA = Ordinal(((1, 1),))
-
-
-def parse(text: str) -> Ordinal:
-    """Parse ``"0" | term (" + " term)*`` with ``term := w[^nat][*nat] | nat``."""
-    sc = Scanner(text)
-    if sc.eof():
-        raise ParseError("empty ordinal string", (0, max(len(text), 1)))
-    total = ZERO
-    while True:
-        total = total.add(_parse_term(sc))
-        if sc.eof():
-            return total
-        if not sc.try_lit("+"):
-            sc.error("expected '+' or end of input")
-
-
-def _parse_term(sc: Scanner) -> Ordinal:
-    if sc.try_lit("w"):
-        exponent = sc.nat() if sc.try_lit("^") else 1
-        coefficient = sc.nat() if sc.try_lit("*") else 1
-        if coefficient == 0:
-            return ZERO
-        return Ordinal(((exponent, coefficient),))
-    return Ordinal.from_int(sc.nat())

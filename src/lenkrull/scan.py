@@ -1,4 +1,4 @@
-r"""Character scanner shared by the small grammars (rings, ideals, ordinals, ...).
+r"""Character scanner shared by the small grammars (rings, ideals, modules, ...).
 
 Whitespace between tokens is skipped; every error is a ``ParseError`` whose
 message ends in ``at position N`` and whose span is ``(N, N + 1)``.  A grammar

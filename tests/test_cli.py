@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenkrull import cli, oracles, zmodule
-from lenkrull.errors import LenkrullError, ParseError, SizeBoundError, UnsupportedError
+from lenkrull.errors import (
+    FactorBoundError,
+    LenkrullError,
+    ParseError,
+    SizeBoundError,
+    UnsupportedError,
+)
 from lenkrull.length_core import CyclicPiece, ModuleDescriptor
 from lenkrull.monomial import MAX_GENERATORS, minimalize
 from lenkrull.ordinal import Ordinal
@@ -85,6 +91,13 @@ def test_gf_ring_factorizes_its_characteristic_once(monkeypatch):
     code, _ = run(f"ring 'GF({p})[x,y]' --ideal 'x^2, y^3'")
     assert code == 0
     assert calls.count(p) == 1
+
+
+@pytest.mark.parametrize("spec, span", [("GF( 4 )[x]", (4, 5)), ("GF( 1000036000099)", (4, 17))])
+def test_gf_refusals_point_at_the_characteristic_not_the_space_before_it(spec, span):
+    with pytest.raises((FactorBoundError, ParseError)) as refusal:
+        cli.parse_ring(spec)
+    assert refusal.value.span == span
 
 
 def test_ring_factorizes_its_integer_generator_once(monkeypatch):
@@ -491,6 +504,16 @@ def test_batch_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
     assert err.startswith("error[io]: 'utf-8' codec can't decode byte 0xff in position 7")
 
 
+def test_batch_file_saved_with_a_byte_order_mark_answers_its_first_line(tmp_path, capsys):
+    batch = tmp_path / "requests.txt"
+    batch.write_text("zmodule --matrix '[[2]]'\n", encoding="utf-8-sig")
+    assert batch.read_bytes().startswith(b"\xef\xbb\xbfzmodule")
+    assert cli.run_batch(str(batch), "text") == (0, [GOLDEN_Z_MOD_2_TEXT])
+    batch.write_bytes(b"\xef\xbb\xbfring Z\n\xff\n")
+    assert cli.main(["--batch", str(batch)]) == 1
+    assert capsys.readouterr().err.startswith("error[io]: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_batch_answers_the_lines_after_a_refused_ideal_size(tmp_path):
     too_many = ", ".join(f"x^{i}*y^{MAX_GENERATORS - i}" for i in range(MAX_GENERATORS + 1))
     batch = tmp_path / "requests.txt"
@@ -692,11 +715,16 @@ def scanner_parse_gens(sc, ring, stop):
         if not sc.try_lit(","):
             break
     ideal = minimalize(len(ring.vars), monomials)
-    if integer_part and ring.vars and not ideal.is_unit and not zmodule.is_squarefree(integer_part):
-        raise UnsupportedError(
-            f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
-            integer_span,
-        )
+    if integer_part and ring.vars and not ideal.is_unit:
+        try:
+            squarefree = zmodule.is_squarefree(integer_part)
+        except FactorBoundError as exc:
+            raise FactorBoundError(exc.message, integer_span) from None
+        if not squarefree:
+            raise UnsupportedError(
+                f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
+                integer_span,
+            )
     return CyclicPiece(integer_part, ideal)
 
 
@@ -771,6 +799,11 @@ class TestIdealParser:
                 (3, 5),
             )),
             ("²", ("ParseError", "expected an identifier at position 0", (0, 1))),
+            ("1000036000099, x", (
+                "FactorBoundError",
+                "cannot certify a factorization of 1000036000099: no prime divisor up to 1000000",
+                (0, 13),
+            )),
             (f"x^{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
             (f"x*{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
         ],

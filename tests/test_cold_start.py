@@ -86,3 +86,8 @@ def test_package_import_leaves_the_oracles_unloaded():
     added = added_modules("--import-only")
     assert "lenkrull" in added
     assert "lenkrull.oracles" not in added
+
+
+def test_package_import_leaves_the_scanner_unloaded():
+    # only the command line reads text, so only it loads the scanner
+    assert "lenkrull.scan" not in added_modules("--import-only")

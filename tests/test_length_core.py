@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import contains
+from helpers import parse_ordinal as ordinal
 from lenkrull.errors import UnsupportedError
 from lenkrull.length_core import (
     CBResult,
@@ -22,7 +24,6 @@ from lenkrull.length_core import (
 )
 from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
-from lenkrull.ordinal import parse as ordinal
 from lenkrull.zmodule import ZPresentation, length_vector_z, smith_normal_form
 
 GF2 = RingDescriptor("GF", 2)
@@ -261,18 +262,17 @@ class TestStructuralProperties:
     @given(gf2_modules())
     def test_direct_sum_is_pointwise_sum(self, m):
         combined = length_vector(m)
-        total = LengthVector.from_counts({})
+        total: dict[int, int] = {}
         for p in m.pieces:
-            total = total.pointwise_add(
-                length_vector(ModuleDescriptor(m.ring, pieces=(p,)))
-            )
-        assert combined == total
+            for alpha, count in length_vector(ModuleDescriptor(m.ring, pieces=(p,))).counts:
+                total[alpha] = total.get(alpha, 0) + count
+        assert combined == LengthVector.from_counts(total)
 
     @given(gf2_modules())
     def test_support_bounded_by_ring_dimension(self, m):
         v = length_vector(m)
         if not v.is_zero:
-            assert krull_dimension(v) <= m.ring.dimension
+            assert krull_dimension(v) <= len(m.ring.vars) + (m.ring.base == "Z")
 
     def test_proper_quotients_have_smaller_length(self):
         rng = random.Random(99)
@@ -289,7 +289,7 @@ class TestStructuralProperties:
             if smaller.is_unit:
                 continue
             extra = tuple(rng.randint(0, 3) for _ in range(n))
-            if not any(extra) or smaller.contains(extra):
+            if not any(extra) or contains(smaller, extra):
                 continue
             checked += 1
             bigger = minimalize(n, list(smaller.gens) + [extra])

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from helpers import parse_ordinal as ordinal
 from lenkrull.length_core import (
     CyclicPiece,
     ModuleDescriptor,
@@ -11,16 +12,13 @@ from lenkrull.length_core import (
 )
 from lenkrull.localpid import (
     LocalPIDModule,
-    adjusted_torsion_length,
     cb_rank_local_pid,
     length_vector_local_pid,
     lengths_local_pid,
     torsion_length,
-    top_torsion_exponent,
 )
 from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
-from lenkrull.ordinal import parse as ordinal
 
 
 def mod(free, torsion=()):
@@ -54,14 +52,20 @@ class TestTorsionLength:
 
 
 class TestAdjustedTorsionLength:
+    # at even free rank 2n the CB-rank is w*n + (L - k), k the top exponent
+
     def test_examples(self):
-        assert adjusted_torsion_length({}) == 0
-        assert adjusted_torsion_length({1: 2}) == 1
-        assert adjusted_torsion_length({2: 1, 1: 1}) == 1
+        for free in (0, 2, 4):
+            for torsion, adjusted in (({}, 0), ({1: 2}, 1), ({2: 1, 1: 1}, 1)):
+                want = Ordinal.from_length_vector({1: free // 2, 0: adjusted})
+                assert cb_rank_local_pid(mod(free, torsion)) == want
 
     def test_top_exponent(self):
-        assert top_torsion_exponent({}) == 0
-        assert top_torsion_exponent({3: 1, 1: 5}) == 3
+        for free in (0, 2, 4):
+            # k = 0 for no torsion; k = 3 in L - k = 8 - 3
+            assert cb_rank_local_pid(mod(free)) == Ordinal.from_length_vector({1: free // 2})
+            want = Ordinal.from_length_vector({1: free // 2, 0: 5})
+            assert cb_rank_local_pid(mod(free, {3: 1, 1: 5})) == want
 
 
 class TestCBRank:

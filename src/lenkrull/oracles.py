@@ -5,11 +5,12 @@ the main engines obtain in closed form.  They reuse the few engine routines
 named below; everything else is computed here, apart from the engines:
 
 * caractl: finite abelian groups are materialized element by element and
-  their full subgroup lattice is built by closing under cyclic extensions,
-  an independent check that the composition length satisfies the recursion
-  "length = 1 + max over proper quotients".  ``factorize`` splits groups
-  into prime powers, and ``smith_normal_form`` gives each quotient's
-  invariants and the length the recursion is compared with;
+  their full subgroup lattice is built by closing under cyclic extensions;
+  the longest chain of subgroups is an independent check that the
+  composition length satisfies the recursion "length = 1 + max over proper
+  quotients", with no engine inside the lattice.  ``factorize`` splits
+  group orders into prime powers, and ``smith_normal_form``, once per
+  group, gives the length the recursion is compared with;
 * additivity and sigmaprime: random integer presentations with random
   submodules exercise rank additivity (always) and torsion additivity
   (finite kernels), as well as invariance of the free rank under quotients
@@ -53,7 +54,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import FactorBoundError, SizeBoundError
@@ -95,39 +95,8 @@ class FiniteAbelianGroup(Value):
             if len(factorize(q)) != 1:
                 raise ValueError(f"{q} is not a prime power")
 
-    @classmethod
-    def from_invariant_factors(cls, factors: Sequence[int]) -> "FiniteAbelianGroup":
-        pieces = []
-        for d in factors:
-            for p, e in factorize(d).items():
-                pieces.append(p**e)
-        return cls(tuple(sorted(pieces)))
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for q in self.prime_power_factors:
-            n *= q
-        return n
-
     def composition_length(self) -> int:
         return sum(count_prime_factors(q) for q in self.prime_power_factors)
-
-
-class SubgroupInfo(Value):
-    """A subgroup's order and generators, and its quotient's invariant factors."""
-
-    _fields = ("order", "generators", "quotient_factors")
-
-    def __init__(
-        self,
-        order: int,
-        generators: tuple[tuple[int, ...], ...],
-        quotient_factors: tuple[int, ...],
-    ):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "quotient_factors", quotient_factors)
 
 
 def _element_ops(orders: Sequence[int]):
@@ -146,17 +115,26 @@ def _element_ops(orders: Sequence[int]):
     return size, encode, decode
 
 
-def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[SubgroupInfo, ...]:
-    """Every subgroup, found by BFS over cyclic extensions of the trivial one.
+def enumerate_subgroups(group: FiniteAbelianGroup) -> dict[frozenset[int], int]:
+    """Every subgroup, as the set of its element codes, mapped to the length of
+    the longest chain of subgroups from it up to the whole group.
 
-    Each entry carries a generating set and the invariant-factor chain of the
-    corresponding quotient.  Discovery order is deterministic.
+    By the correspondence theorem the subgroups of G/H are the subgroups of G
+    that contain H, so that chain length is the length of G/H, and the entry
+    of the trivial subgroup is the length of G.  The recursion "length = 1 +
+    max over quotients by nonzero subgroups" becomes longest(H) = 1 + max over
+    K containing H properly of longest(K), 0 for G itself.  Every such K
+    contains some cyclic extension H + <e>, and the chain length only falls as
+    the subgroup grows (a chain from K up lengthens to one from H + <e>), so
+    the maximum is reached at the cyclic extensions.  The memoised search from
+    the trivial subgroup closes each subgroup under each element outside it,
+    which reaches every subgroup, since each is generated by finitely many
+    elements.
     """
     orders = group.prime_power_factors
     size, encode, decode = _element_ops(orders)
     if size > MAX_GROUP_ORDER:
         raise SizeBoundError(f"group order {size} exceeds the bound {MAX_GROUP_ORDER}")
-    s = len(orders)
 
     vecs = [decode(c) for c in range(size)]
     table = [
@@ -167,75 +145,52 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[SubgroupInfo, ...]:
         for a in range(size)
     ]
 
-    def add(a: int, b: int) -> int:
-        return table[a][b]
+    longest: dict[frozenset[int], int] = {}
+    _longest_chain(table, frozenset({0}), longest)
+    return longest
 
-    def closure(members: frozenset[int], e: int) -> frozenset[int]:
-        multiples = []
-        x = e
-        while x not in members:
-            multiples.append(x)
-            x = add(x, e)
-        grown = set(members)
-        for m in multiples:
-            grown.update(add(h, m) for h in members)
-        return frozenset(grown)
 
-    trivial = frozenset({0})
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    queue: deque[frozenset[int]] = deque([trivial])
-    discovery = [trivial]
-    while queue:
-        current = queue.popleft()
-        for e in range(1, size):
-            if e in current:
-                continue
-            grown = closure(current, e)
-            if grown not in found:
-                found[grown] = found[current] + (e,)
-                queue.append(grown)
-                discovery.append(grown)
+def _closure(table: list[list[int]], members: frozenset[int], e: int) -> frozenset[int]:
+    """The subgroup generated by ``members`` and ``e``, under the addition ``table``."""
+    multiples = []
+    x = e
+    while x not in members:
+        multiples.append(x)
+        x = table[x][e]
+    grown = set(members)
+    for m in multiples:
+        grown.update(table[h][m] for h in members)
+    return frozenset(grown)
 
-    diag_columns = tuple(
-        tuple(orders[i] if j == i else 0 for j in range(s)) for i in range(s)
-    )
-    infos = []
-    for members in discovery:
-        gen_codes = found[members]
-        gen_vecs = tuple(decode(g) for g in gen_codes)
-        quotient = smith_normal_form(
-            ZPresentation(s, diag_columns + gen_vecs)
+
+def _longest_chain(
+    table: list[list[int]], members: frozenset[int], longest: dict[frozenset[int], int]
+) -> int:
+    """Longest chain of subgroups from ``members`` up, memoised in ``longest``
+    with every subgroup the search passes through.
+
+    It lives at module level, not inside ``enumerate_subgroups``: a nested
+    function that calls itself is a reference cycle, which would keep each
+    lattice alive until the cyclic collector runs."""
+    if members not in longest:
+        longest[members] = max(
+            (
+                1 + _longest_chain(table, _closure(table, members, e), longest)
+                for e in range(len(table))
+                if e not in members
+            ),
+            default=0,
         )
-        infos.append(
-            SubgroupInfo(
-                order=len(members),
-                generators=gen_vecs,
-                quotient_factors=quotient.invariant_factors,
-            )
-        )
-    return tuple(infos)
-
-
-_length_cache: dict[tuple[int, ...], int] = {}
+    return longest[members]
 
 
 def recursive_length(group: FiniteAbelianGroup) -> int:
     """Length defined by recursion on proper quotients: 0 for the trivial group,
-    otherwise 1 + the maximum over quotients by nonzero subgroups."""
-    key = group.prime_power_factors
-    if not key:
+    otherwise 1 + the maximum over quotients by nonzero subgroups, read off
+    the subgroup lattice as the longest chain above the trivial subgroup."""
+    if not group.prime_power_factors:
         return 0
-    if key in _length_cache:
-        return _length_cache[key]
-    best = 0
-    for sub in enumerate_subgroups(group):
-        if sub.order == 1:
-            continue
-        quotient = FiniteAbelianGroup.from_invariant_factors(sub.quotient_factors)
-        best = max(best, recursive_length(quotient))
-    value = 1 + best
-    _length_cache[key] = value
-    return value
+    return enumerate_subgroups(group)[frozenset({0})]
 
 
 def check_length_recursion(group: FiniteAbelianGroup) -> bool:
@@ -717,20 +672,22 @@ def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
     return VerifyReport("oracle-equivalence", trials, seed, checked, tuple(failures))
 
 
-def caractl_groups() -> dict[tuple[int, ...], FiniteAbelianGroup]:
-    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, by its prime powers."""
-    groups: dict[tuple[int, ...], FiniteAbelianGroup] = {}
-    for order in range(1, CARACTL_MAX_ORDER + 1):
-        for group in abelian_group_types(order):
-            groups[group.prime_power_factors] = group
-    return groups
+def caractl_groups() -> list[FiniteAbelianGroup]:
+    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, sorted by its prime powers."""
+    groups = [
+        group
+        for order in range(1, CARACTL_MAX_ORDER + 1)
+        for group in abelian_group_types(order)
+    ]
+    return sorted(groups, key=lambda group: group.prime_power_factors)
 
 
 def run_length_recursion_suite() -> VerifyReport:
     """Length recursion on every group of ``caractl_groups``."""
     groups = caractl_groups()
-    failures = []
-    for key in sorted(groups):
-        if not check_length_recursion(groups[key]):
-            failures.append(f"length recursion failed for {key}")
+    failures = [
+        f"length recursion failed for {group.prime_power_factors}"
+        for group in groups
+        if not check_length_recursion(group)
+    ]
     return VerifyReport("caractl", len(groups), None, len(groups), tuple(failures))

@@ -2,8 +2,13 @@
 
 A suite that passes on working code shows nothing unless it also fails on
 broken code; each test swaps in a copy of one engine with a deliberate fault
-and runs the suite on trials that pass with the real engine.
+and runs the suite on trials that pass with the real engine.  caractl, which
+checks a fixed set of groups, gets the same test on a few of them, a count of
+its engine calls, and direct checks of the subgroup lattice it reads its
+lengths from.
 """
+
+import math
 
 import pytest
 
@@ -62,3 +67,79 @@ def test_suite_catches_a_broken_engine(monkeypatch, suite, engine, fault, messag
     assert report.checked == TRIALS
     assert report.failures
     assert all(message in failure for failure in report.failures)
+
+
+def _drop_last_invariant_factor(engine):
+    def broken(*args):
+        nf = engine(*args)
+        return ZNormalForm(nf.free_rank, nf.invariant_factors[:-1])
+
+    return broken
+
+
+CARACTL_SAMPLE = [(2, 4), (3, 9), (2, 2, 2)]
+
+
+def test_caractl_catches_a_broken_engine(monkeypatch):
+    groups = [oracles.FiniteAbelianGroup(key) for key in CARACTL_SAMPLE]
+    assert all(oracles.check_length_recursion(group) for group in groups)
+    monkeypatch.setattr(
+        oracles, "smith_normal_form", _drop_last_invariant_factor(oracles.smith_normal_form)
+    )
+    assert not any(oracles.check_length_recursion(group) for group in groups)
+
+
+def test_caractl_asks_the_engine_once_per_group(monkeypatch):
+    engine = oracles.smith_normal_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(oracles, "smith_normal_form", counted)
+    report = oracles.run_length_recursion_suite()
+    assert report.ok and report.checked == 185
+    assert len(calls) == 185
+
+
+def _omega(n: int) -> int:
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "powers, count",
+    [((4,), 3), ((2, 2), 5), ((2, 4), 8), ((2, 2, 2), 16), ((4, 4), 15), ((2, 2, 2, 2), 67)],
+)
+def test_subgroup_lattice(powers, count):
+    """Known subgroup counts; each key is closed under the group law, and its
+    chain length is the number of prime factors of its index."""
+    lattice = oracles.enumerate_subgroups(oracles.FiniteAbelianGroup(powers))
+    assert len(lattice) == count
+    order = math.prod(powers)
+
+    def vector(code):
+        out = []
+        for q in powers:
+            code, x = divmod(code, q)
+            out.append(x)
+        return out
+
+    def add(a, b):
+        code, stride = 0, 1
+        for x, y, q in zip(vector(a), vector(b), powers):
+            code += (x + y) % q * stride
+            stride *= q
+        return code
+
+    for members, length in lattice.items():
+        assert 0 in members and members <= set(range(order))
+        assert all(add(a, b) in members for a in members for b in members)
+        assert order % len(members) == 0
+        assert length == _omega(order // len(members))

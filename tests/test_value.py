@@ -26,7 +26,7 @@ from lenkrull.length_core import (
 )
 from lenkrull.localpid import LocalPIDModule
 from lenkrull.monomial import MonomialIdeal
-from lenkrull.oracles import FiniteAbelianGroup, StandardPair, SubgroupInfo, VerifyReport
+from lenkrull.oracles import FiniteAbelianGroup, StandardPair, VerifyReport
 from lenkrull.ordinal import Ordinal
 from lenkrull.zmodule import ZNormalForm, ZPresentation
 
@@ -111,15 +111,8 @@ CASES = {
     ),
     FiniteAbelianGroup: (
         ("prime_power_factors",),
-        st.lists(st.integers(2, 6), max_size=2).map(FiniteAbelianGroup.from_invariant_factors),
-    ),
-    SubgroupInfo: (
-        ("order", "generators", "quotient_factors"),
-        st.builds(
-            SubgroupInfo,
-            small,
-            st.lists(st.tuples(small, small), max_size=2).map(tuple),
-            st.lists(st.integers(2, 3), max_size=2).map(tuple),
+        st.lists(st.sampled_from((2, 3, 4, 5)), max_size=2).map(
+            lambda powers: FiniteAbelianGroup(tuple(sorted(powers)))
         ),
     ),
     StandardPair: (
@@ -162,7 +155,7 @@ classes = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name
 
 
 def test_every_value_class_is_covered():
-    assert len(CASES) == 16
+    assert len(CASES) == 15
 
 
 @classes

@@ -138,12 +138,6 @@ class LengthVector(Value):
     def is_zero(self) -> bool:
         return not self.counts
 
-    def shifted_down(self) -> "LengthVector":
-        """Drop the coheight-0 entry and move every other coheight down by one."""
-        return LengthVector.from_counts(
-            {alpha - 1: count for alpha, count in self.counts if alpha >= 1}
-        )
-
 
 class CBResult(Value):
     """Exact Cantor-Bendixson rank, or sandwich bounds when only those are known."""
@@ -212,8 +206,11 @@ def length(vector: LengthVector) -> Ordinal:
 
 
 def reduced_length(vector: LengthVector) -> Ordinal:
-    """Length of the vector with coheights shifted down by one (coheight 0 dropped)."""
-    return length(vector.shifted_down())
+    """Length of the vector moved down one coheight: the coheight-0 entry is
+    dropped and every other coheight alpha counts at alpha - 1."""
+    return Ordinal.from_length_vector(
+        {alpha - 1: count for alpha, count in vector.counts if alpha}
+    )
 
 
 def check_length_identity(

@@ -9,8 +9,9 @@ named below; everything else is computed here, apart from the engines:
   the longest chain of subgroups is an independent check that the
   composition length satisfies the recursion "length = 1 + max over proper
   quotients", with no engine inside the lattice.  ``factorize`` splits
-  group orders into prime powers, and ``smith_normal_form``, once per
-  group, gives the length the recursion is compared with;
+  group orders into prime powers, and ``length_vector_z`` of a
+  ``smith_normal_form``, once per group, gives the length the recursion
+  is compared with, as it does for the torsion additivity below;
 * additivity and sigmaprime: random integer presentations with random
   submodules exercise rank additivity (always) and torsion additivity
   (finite kernels), as well as invariance of the free rank under quotients
@@ -65,6 +66,7 @@ from .zmodule import (
     count_prime_factors,
     factorize,
     kernel_columns,
+    length_vector_z,
     smith_normal_form,
     torsion_lattice_basis,
 )
@@ -80,6 +82,8 @@ CARACTL_MAX_ORDER = 100
 # trials, so each suite at its bound runs about as long as sigmaprime at its
 # own; caractl runs a fixed set of groups and takes no trial count
 MAX_TRIALS = {"additivity": 60_000, "sigmaprime": 100_000, "oracle-equivalence": 15_000}
+# most variables, generators and exponent of an ideal oracle-equivalence samples
+SAMPLE_MAX_VARS, SAMPLE_MAX_GENS, SAMPLE_MAX_EXP = 4, 8, 5
 
 
 class FiniteAbelianGroup(Value):
@@ -205,23 +209,20 @@ def check_length_recursion(group: FiniteAbelianGroup) -> bool:
             ),
         )
     )
-    return recursive_length(group) == expected == _torsion_count(nf)
+    return recursive_length(group) == expected == _torsion_length(nf)
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+def _partitions(n: int, cap: int) -> list[tuple[int, ...]]:
+    """Partitions of n into parts of at most ``cap``, parts decreasing, in
+    decreasing lexicographic order; module level for the reason given at
+    ``_longest_chain``."""
     if n == 0:
         return [()]
-    out = []
-
-    def grow(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            grow(remaining - part, part, prefix + (part,))
-
-    grow(n, n, ())
-    return out
+    return [
+        (part,) + rest
+        for part in range(min(n, cap), 0, -1)
+        for rest in _partitions(n - part, part)
+    ]
 
 
 def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:
@@ -230,7 +231,7 @@ def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:
         raise ValueError("order must be positive")
     per_prime = []
     for p, a in sorted(factorize(order).items()):
-        per_prime.append([[p**part for part in parts] for parts in _partitions(a)])
+        per_prime.append([[p**part for part in parts] for parts in _partitions(a, a)])
     types = [FiniteAbelianGroup(())]
     for options in per_prime:
         types = [
@@ -539,8 +540,8 @@ def submodule_normal_form(pres: ZPresentation, gens: Sequence[Sequence[int]]) ->
     return smith_normal_form(ZPresentation(t, tuple(rels)))
 
 
-def _torsion_count(nf: ZNormalForm) -> int:
-    return sum(count_prime_factors(d) for d in nf.invariant_factors)
+def _torsion_length(nf: ZNormalForm) -> int:
+    return length_vector_z(nf).get(0, 0)
 
 
 def _random_presentation(rng: random.Random) -> ZPresentation:
@@ -589,7 +590,7 @@ def check_additivity_z(trials: int, seed: int) -> VerifyReport:
                 f"trial {index}: rank additivity broke: {nf_m} vs {nf_n} + {nf_k}"
             )
         if nf_k.free_rank == 0 and (
-            _torsion_count(nf_m) != _torsion_count(nf_n) + _torsion_count(nf_k)
+            _torsion_length(nf_m) != _torsion_length(nf_n) + _torsion_length(nf_k)
         ):
             failures.append(
                 f"trial {index}: torsion additivity broke with finite kernel: "
@@ -633,23 +634,15 @@ def check_sigmaprime_artinian_kernel(trials: int, seed: int) -> VerifyReport:
     return VerifyReport("sigmaprime", trials, seed, checked, tuple(failures))
 
 
-def sample_monomial_ideal(
-    rng: random.Random, max_vars: int = 4, max_gens: int = 8, max_exp: int = 5
-) -> MonomialIdeal:
-    n = rng.randint(1, max_vars)
+def sample_monomial_ideal(rng: random.Random) -> MonomialIdeal:
+    n = rng.randint(1, SAMPLE_MAX_VARS)
     gens = []
-    for _ in range(rng.randint(0, max_gens)):
-        vec = tuple(rng.randint(0, max_exp) for _ in range(n))
+    for _ in range(rng.randint(0, SAMPLE_MAX_GENS)):
+        vec = tuple(rng.randint(0, SAMPLE_MAX_EXP) for _ in range(n))
         while not any(vec):
-            vec = tuple(rng.randint(0, max_exp) for _ in range(n))
+            vec = tuple(rng.randint(0, SAMPLE_MAX_EXP) for _ in range(n))
         gens.append(vec)
     return minimalize(n, gens)
-
-
-def _all_faces(n: int) -> list[frozenset[int]]:
-    return [
-        frozenset(i for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)
-    ]
 
 
 def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
@@ -662,7 +655,8 @@ def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
         ideal = sample_monomial_ideal(rng)
         checked += 1
         counts = face_counts(ideal)
-        for face in _all_faces(ideal.n_vars):
+        for mask in range(1 << ideal.n_vars):
+            face = frozenset(_mask_vars(mask))
             expected = local_multiplicity_oracle(ideal, face)
             if counts.get(face, 0) != expected:
                 failures.append(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
+from functools import total_ordering
 
 from .errors import SizeBoundError
 from .value import Value
@@ -27,6 +28,7 @@ from .zmodule import _decimal_digits
 Term = tuple[int, int]
 
 
+@total_ordering
 class Ordinal(Value):
     """An ordinal < w^w; ``terms`` is the Cantor normal form."""
 
@@ -110,15 +112,6 @@ class Ordinal(Value):
 
     def __lt__(self, other: "Ordinal") -> bool:
         return self.terms < other.terms
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return self.terms <= other.terms
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return self.terms > other.terms
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return self.terms >= other.terms
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
         return self.add(other)

@@ -54,6 +54,22 @@ def test_golden(name, tmp_path, capsys):
         assert got["stderr"] == case["stderr"]
 
 
+# the argv parser and the batch-line parser both read ``cli._COMMANDS``; every
+# command line that writes nothing to stderr must answer the same as a batch line
+BATCH_LINE_GOLDENS = sorted(
+    name
+    for name, case in GOLDENS.items()
+    if case["argv"] and case["argv"][0] in cli._COMMANDS and not case["stderr"]
+)
+
+
+@pytest.mark.parametrize("name", BATCH_LINE_GOLDENS)
+def test_golden_as_batch_line(name):
+    case = GOLDENS[name]
+    code, text = cli.run_request(cli.parse_request_line(shlex.join(case["argv"])))
+    assert (code, text + "\n") == (case["code"], case["stdout"])
+
+
 def test_verification_failure_exits_2(monkeypatch, capsys):
     failing = oracles.VerifyReport("additivity", 5, 3, 5, ("trial 2: torsion mismatch",))
     monkeypatch.setattr(oracles, "check_additivity_z", lambda trials, seed: failing)

@@ -8,6 +8,7 @@ from lenkrull.length_core import (
     ModuleDescriptor,
     RingDescriptor,
     cb_rank,
+    check_length_identity,
     reduced_length,
 )
 from lenkrull.localpid import (
@@ -106,6 +107,18 @@ class TestLengths:
         for free in range(4):
             m = mod(free, {2: 1})
             assert reduced_length(length_vector_local_pid(m)) == Ordinal.from_int(free)
+
+    def test_lengths_satisfy_the_length_identity(self):
+        # the localpid command answers without the runtime identity check
+        # that analyze makes, so this grid is where a bad length shows
+        checked = 0
+        for free in range(6):
+            for torsion in _torsion_multisets(6):
+                m = mod(free, torsion)
+                vector = length_vector_local_pid(m)
+                assert check_length_identity(vector, *lengths_local_pid(m)), m
+                checked += 1
+        assert checked == 180
 
 
 class TestSandwich:

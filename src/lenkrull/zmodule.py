@@ -13,20 +13,31 @@ less one when g is nonzero, and g is the one invariant factor when g > 1.
 Every other shape goes through the reduction.  It works on the transpose,
 one row per relation (a matrix and its transpose have the same invariant
 factors), and keeps only the diagonal.  Pivoting is deterministic (smallest
-absolute value, ties by lowest (row, column) in the current matrix); each
-step works on the block not yet diagonal, divides with quotients rounded to
-the nearest integer, and clears the pivot's row in place once its column is
-clear.
+absolute value, ties by lowest (row, column) in the current matrix), and
+each step works on the block not yet diagonal.  A pivot p clears its column
+with one row operation per row, after Kannan and Bachem (SIAM J. Comput. 8,
+1979): an entry x that p divides goes by subtracting x // p times the pivot
+row, any other x by the determinant-1 combination [[s, u], [-x/g, p/g]] of
+the pivot row and its own, where s*p + u*x = g = gcd(p, x), which leaves g
+at the pivot and 0 below it.  The pivot's row is then cleared the same way
+with column operations.  While the column is clear, a column operation
+changes the pivot row alone, so an entry that p divides is just zeroed;
+once a combination has refilled the column, the multiple of the pivot
+column is subtracted in every row and the column is cleared again.  Each
+combination replaces p by a proper divisor, so the step ends.  The numbers
+still grow: on dense inputs the entries run to thousands of bits, and the
+cost is heavy-tailed in the size of the matrix.
 
 The exact sequences of the additivity checks need integer kernels and the
 saturated torsion sublattice; ``kernel_columns`` finds a kernel by bringing
 [A; I] to column echelon form with unimodular column operations, and the
 saturation of the column space is the kernel of the left kernel, found by two
-such calls.  Each round on a row pivots, as the reduction does, on the least
-nonzero absolute value (among the columns not yet pivoted, ties by lowest
-column), made positive; every other column subtracts the nearest-integer
-multiple of the pivot column, in place and over that row and the rows below
-it only, and the rounds repeat until the pivot alone is nonzero in the row.
+such calls.  It keeps Euclid rounds, and with them the bases its tests pin:
+each round on a row pivots on the least nonzero absolute value (among the
+columns not yet pivoted, ties by lowest column), made positive; every other
+column subtracts the nearest-integer multiple of the pivot column, in place
+and over that row and the rows below it only, and the rounds repeat until
+the pivot alone is nonzero in the row.
 With ``keep=t`` the identity block carries only its first t rows: the pivots
 look at A's rows alone, so each basis vector comes back as exactly its first
 t coordinates, which is all a submodule's relations need.  Only the oracles
@@ -106,17 +117,44 @@ class ZNormalForm(Value):
             prev = d
 
 
+def _xgcd(p: int, x: int) -> tuple[int, int, int]:
+    """(g, s, u) with s*p + u*x == g == gcd(p, x) > 0, for p > 0 and x != 0."""
+    r0, r1, s0, s1 = p, abs(x), 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return r0, s0, (r0 - s0 * p) // x
+
+
 def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
     """Diagonalize the k-row, m-column ``a`` in place; return the nonzero diagonal.
 
     Step t pivots on the entry of least absolute value in rows and columns
-    t.. (ties by lowest (row, column)).  Rows above t and columns left of t
-    are already zero off the diagonal, so every operation runs over the
-    active block only.  Quotients round to the nearest integer, so each
-    remainder is at most half the pivot in absolute value.  The row phase
-    clears the pivot's column; once it is clear, a column operation changes
-    only the pivot row, so the column phase reduces that row's entries mod the
-    pivot in place and swaps a column in only when a remainder is nonzero.
+    t.. (ties by lowest (row, column)), made positive; call it p.  Rows
+    above t and columns left of t are already zero off the diagonal, so
+    every operation runs over the active block only.
+
+    The column pass clears column t below the pivot, one row at a time.  An
+    entry x that p divides goes by subtracting x // p times the pivot row.
+    Otherwise, with s*p + u*x = g = gcd(p, x), the pivot row and row i are
+    replaced by the rows of [[s, u], [-x/g, p/g]] times them: that matrix
+    has determinant (s*p + u*x) / g = 1, it puts g at the pivot and 0 below
+    it, and p becomes g.  Later rows meet the new pivot, and earlier rows
+    stay clear, so one pass clears the column.
+
+    The row pass clears row t the same way with column operations.  While
+    column t is clear below the pivot, subtracting a multiple of column t
+    changes row t alone, so an entry that p divides is just set to 0.  A
+    combination of columns t and j refills column t below the pivot; after
+    one, an entry that p divides is cleared by subtracting its multiple of
+    column t in every row t.., and the column pass runs again.  Every
+    combination replaces p by gcd(p, y) for an entry y that p does not
+    divide, a proper divisor of p, so the passes stop once p divides its
+    whole row, which the row pass then clears without a combination.
+
+    Entries still grow: the combinations keep the number of operations down,
+    not the size of the numbers, which on dense inputs runs to thousands of
+    bits.
     """
     k = len(a)
     t = 0
@@ -135,37 +173,51 @@ def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
             for i in range(t, k):
                 row = a[i]
                 row[pj], row[t] = row[t], row[pj]
-        while True:
-            at = a[t]
-            if at[t] < 0:
-                at[t:] = [-x for x in at[t:]]
-            p = at[t]
-            half = p // 2
-            clean = True
+        at = a[t]
+        if at[t] < 0:
+            at[t:] = [-x for x in at[t:]]
+        p = at[t]
+        refilled = True
+        while refilled:
             for i in range(t + 1, k):
                 ai = a[i]
-                if ai[t]:
-                    q = (ai[t] + half) // p
-                    if q:
-                        for j in range(t, m):
-                            ai[j] -= q * at[j]
-                    if ai[t]:
-                        a[i], a[t] = at, ai
-                        clean = False
-                        break
-            if not clean:
-                continue
+                x = ai[t]
+                if not x:
+                    continue
+                if x % p == 0:
+                    q = x // p
+                    for j in range(t, m):
+                        ai[j] -= q * at[j]
+                else:
+                    g, s, u = _xgcd(p, x)
+                    pg, xg = p // g, x // g
+                    for j in range(t, m):
+                        y, z = at[j], ai[j]
+                        at[j] = s * y + u * z
+                        ai[j] = pg * z - xg * y
+                    p = g
+            refilled = False
             for j in range(t + 1, m):
-                if at[j]:
-                    at[j] = (at[j] + half) % p - half
-                    if at[j]:
-                        for i in range(t, k):
-                            row = a[i]
-                            row[j], row[t] = row[t], row[j]
-                        clean = False
-                        break
-            if clean:
-                break
+                y = at[j]
+                if not y:
+                    continue
+                if y % p:
+                    g, s, u = _xgcd(p, y)
+                    pg, yg = p // g, y // g
+                    for i in range(t, k):
+                        row = a[i]
+                        z, w = row[t], row[j]
+                        row[t] = s * z + u * w
+                        row[j] = pg * w - yg * z
+                    p = g
+                    refilled = True
+                elif refilled:
+                    q = y // p
+                    for i in range(t, k):
+                        row = a[i]
+                        row[j] -= q * row[t]
+                else:
+                    at[j] = 0
         t += 1
     return [a[i][i] for i in range(t)]
 
@@ -196,7 +248,12 @@ def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
     entries is the only determinantal divisor: the free rank is the
     generator count less [g != 0], and the chain is (g,) when g > 1.  Any
     other shape is diagonalized by ``_smith_reduce`` on the transpose (a
-    matrix and its transpose have the same invariant factors).
+    matrix and its transpose have the same invariant factors), which clears
+    each pivot's column and row with one determinant-1 extended-gcd
+    combination per entry that the pivot does not divide, and
+    ``_divisibility_chain`` turns its diagonal into the chain.  The entries
+    are not kept small, so the cost still grows with the digits the
+    elimination produces, not only with the shape.
     """
     rels = pres.relations
     if pres.generators <= 1 or len(rels) <= 1:
@@ -388,11 +445,22 @@ def is_prime(n: int) -> bool:
 
 
 def length_vector_z(nf: ZNormalForm) -> dict[int, int]:
-    """Per-coheight multiplicities over Z: rank at 1, sum of v_p(d_i) at 0."""
+    """Per-coheight multiplicities over Z: rank at 1, sum of v_p(d_i) at 0.
+
+    Every invariant factor divides the last one, so only the last is
+    factored, and each v_p(d_i) is counted by division by its primes.  A
+    refusal therefore names the last factor's cofactor: any refused d_i
+    leaves a composite cofactor above ``FACTOR_BOUND``**2 that divides it.
+    """
     vec: dict[int, int] = {}
     if nf.free_rank:
         vec[1] = nf.free_rank
-    torsion = sum(count_prime_factors(d) for d in nf.invariant_factors)
-    if torsion:
+    if nf.invariant_factors:
+        torsion = 0
+        for p in factorize(nf.invariant_factors[-1]):
+            for d in nf.invariant_factors:
+                while d % p == 0:
+                    d //= p
+                    torsion += 1
         vec[0] = torsion
     return vec

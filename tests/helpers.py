@@ -1,4 +1,4 @@
-"""Small readings of the engine's values that only the tests need."""
+"""Small readings of the engine's values, and reference routines, that only the tests need."""
 
 import operator
 
@@ -51,3 +51,69 @@ def _ordinal_term(sc: Scanner) -> Ordinal:
             return Ordinal.zero()
         return Ordinal(((exponent, coefficient),))
     return Ordinal.from_int(sc.nat())
+
+
+def euclid_smith_reduce(a: list[list[int]], m: int) -> list[int]:
+    """The reference for ``zmodule._smith_reduce``, by Euclid restarts.
+
+    Diagonalize the k-row, m-column ``a`` in place; return the nonzero diagonal.
+
+    Step t pivots on the entry of least absolute value in rows and columns
+    t.. (ties by lowest (row, column)).  Rows above t and columns left of t
+    are already zero off the diagonal, so every operation runs over the
+    active block only.  Quotients round to the nearest integer, so each
+    remainder is at most half the pivot in absolute value.  The row phase
+    clears the pivot's column; once it is clear, a column operation changes
+    only the pivot row, so the column phase reduces that row's entries mod the
+    pivot in place and swaps a column in only when a remainder is nonzero.
+    """
+    k = len(a)
+    t = 0
+    while True:
+        least = 0
+        for i in range(t, k):
+            row = a[i]
+            for j in range(t, m):
+                x = abs(row[j])
+                if x and (x < least or not least):
+                    least, pi, pj = x, i, j
+        if not least:
+            break
+        a[pi], a[t] = a[t], a[pi]
+        if pj != t:
+            for i in range(t, k):
+                row = a[i]
+                row[pj], row[t] = row[t], row[pj]
+        while True:
+            at = a[t]
+            if at[t] < 0:
+                at[t:] = [-x for x in at[t:]]
+            p = at[t]
+            half = p // 2
+            clean = True
+            for i in range(t + 1, k):
+                ai = a[i]
+                if ai[t]:
+                    q = (ai[t] + half) // p
+                    if q:
+                        for j in range(t, m):
+                            ai[j] -= q * at[j]
+                    if ai[t]:
+                        a[i], a[t] = at, ai
+                        clean = False
+                        break
+            if not clean:
+                continue
+            for j in range(t + 1, m):
+                if at[j]:
+                    at[j] = (at[j] + half) % p - half
+                    if at[j]:
+                        for i in range(t, k):
+                            row = a[i]
+                            row[j], row[t] = row[t], row[j]
+                        clean = False
+                        break
+            if clean:
+                break
+        t += 1
+    return [a[i][i] for i in range(t)]

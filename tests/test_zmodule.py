@@ -3,9 +3,10 @@ import random
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import euclid_smith_reduce
 from lenkrull.errors import FactorBoundError
 from lenkrull.oracles import factorize_by_trial_division, quotient_z, submodule_normal_form
 from lenkrull.zmodule import (
@@ -207,6 +208,61 @@ class TestSmithNormalForm:
             assert b % a == 0
 
 
+# 0, the units, small values and entries near 10^12, which the reduction's
+# extended-gcd combinations multiply together
+_ENTRIES = st.one_of(
+    st.sampled_from((0, 0, 1, -1, 10**12, -(10**12))),
+    st.integers(-9, 9),
+    st.integers(-(10**12) - 9, -(10**12) + 9),
+    st.integers(10**12 - 9, 10**12 + 9),
+)
+
+
+def _relation_rows(max_rows: int = 8, max_cols: int = 7):
+    """(rows, m): up to ``max_rows`` relations as rows over m <= ``max_cols`` generators."""
+    return st.integers(1, max_cols).flatmap(
+        lambda m: st.lists(
+            st.lists(_ENTRIES, min_size=m, max_size=m), max_size=max_rows
+        ).map(lambda rows: (rows, m))
+    )
+
+
+def _check_against_reference(rows: list[list[int]], m: int) -> list[int]:
+    """The reduction's diagonal: positive, and the reference's chain once chained."""
+    diagonal = _smith_reduce([list(r) for r in rows], m)
+    reference = euclid_smith_reduce([list(r) for r in rows], m)
+    assert all(d > 0 for d in diagonal)
+    assert _divisibility_chain(list(diagonal)) == _divisibility_chain(reference)
+    return diagonal
+
+
+class TestReductionAgainstReference:
+    @settings(max_examples=300)
+    @given(_relation_rows())
+    def test_same_chain_as_euclid_restarts(self, shape):
+        _check_against_reference(*shape)
+
+    @given(_relation_rows(max_rows=4, max_cols=4))
+    def test_one_entry_per_unit_of_rank(self, shape):
+        rows, m = shape
+        diagonal = _check_against_reference(rows, m)
+        free_rank, _ = _invariants_by_minor_gcds(ZPresentation(m, tuple(map(tuple, rows))))
+        assert len(diagonal) == m - free_rank
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_chain_on_mixed_diagonals(self, seed):
+        pres, expected = _mixed_presentation(seed)
+        diagonal = _check_against_reference(pres.relations, pres.generators)
+        assert len(diagonal) == pres.generators - expected.free_rank
+
+    def test_divisible_row_entry_after_a_refilled_column(self):
+        # the pivot 2 moves to column 0, and its combination with the 3 makes
+        # p = 1 and puts a nonzero entry below it; the -5 that p then divides
+        # must come off every row, not just the pivot row, or the chain is (1, 2)
+        rows = [[3, 2, -5], [-2, 0, -2]]
+        assert _divisibility_chain(_smith_reduce([list(r) for r in rows], 3)) == [1, 4]
+
+
 def _maximal_minor_gcd(vectors, n: int) -> int:
     """gcd of the maximal minors of the n-row matrix with the given columns:
     1 exactly when the columns are independent and span a saturated lattice."""
@@ -285,6 +341,19 @@ class TestLengthVector:
         assert length_vector_z(ZNormalForm(1, (2,))) == {1: 1, 0: 1}
         assert length_vector_z(ZNormalForm(0, ())) == {}
         assert length_vector_z(ZNormalForm(0, (12,))) == {0: 3}
+        assert length_vector_z(ZNormalForm(2, (6, 12, 360))) == {1: 2, 0: 2 + 3 + 6}
+        # a prime above the bound, certified, in every factor
+        assert length_vector_z(ZNormalForm(0, (2000006, 4000012))) == {0: 5}
+
+    def test_refusal_names_the_last_factors_cofactor(self):
+        # both factors are refused; only the last one is factored
+        first = 1000003 * 1000033
+        last = first * 1000037
+        with pytest.raises(FactorBoundError) as refusal:
+            length_vector_z(ZNormalForm(0, (first, 4 * last)))
+        assert refusal.value.message == (
+            f"cannot certify a factorization of {last}: no prime divisor up to {FACTOR_BOUND}"
+        )
 
     def test_prime_power_column(self):
         for n in range(1, 10):

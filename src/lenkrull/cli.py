@@ -115,8 +115,6 @@ LOCAL_PID_RING_LABEL = "local PID with infinite residue field"
 class Request(Value):
     """One parsed request: the command, its ring, its options as strings, the rendering."""
 
-    _fields = ("command", "ring_spec", "options", "output")
-
     def __init__(
         self,
         command: str,
@@ -312,7 +310,7 @@ def parse_torsion(text: str) -> dict[int, int]:
         sc.expect_lit(":")
         torsion[exponent] = sc.nat()
         if sc.eof():
-            return {i: n for i, n in torsion.items() if n}
+            return torsion
         sc.expect_lit(",")
 
 

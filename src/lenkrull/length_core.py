@@ -47,8 +47,6 @@ from .zmodule import ZPresentation
 class RingDescriptor(Value):
     """Base ring (Z, Q or GF(p)) with an ordered list of polynomial variables."""
 
-    _fields = ("base", "p", "vars")
-
     def __init__(self, base: str, p: int | None = None, vars: tuple[str, ...] = ()):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "p", p)
@@ -78,8 +76,6 @@ class RingDescriptor(Value):
 class CyclicPiece(Value):
     """Quotient of the ring by <integer_part> + the monomial ideal; 0 means no integer."""
 
-    _fields = ("integer_part", "monomial_part")
-
     def __init__(self, integer_part: int, monomial_part: MonomialIdeal):
         object.__setattr__(self, "integer_part", integer_part)
         object.__setattr__(self, "monomial_part", monomial_part)
@@ -89,8 +85,6 @@ class CyclicPiece(Value):
 
 class ModuleDescriptor(Value):
     """Direct sum of cyclic pieces, or an integer presentation over the bare integers."""
-
-    _fields = ("ring", "pieces", "presentation")
 
     def __init__(
         self,
@@ -114,8 +108,6 @@ class ModuleDescriptor(Value):
 
 class LengthVector(Value):
     """Finitely supported coheight -> multiplicity map."""
-
-    _fields = ("counts",)
 
     def __init__(self, counts: tuple[tuple[int, int], ...] = ()):
         object.__setattr__(self, "counts", counts)
@@ -141,8 +133,6 @@ class LengthVector(Value):
 
 class CBResult(Value):
     """Exact Cantor-Bendixson rank, or sandwich bounds when only those are known."""
-
-    _fields = ("exact", "lower", "upper")
 
     def __init__(
         self,
@@ -254,8 +244,6 @@ def krull_dimension(vector: LengthVector) -> int:
 
 class ModuleAnalysis(Value):
     """The answer to one request, before rendering."""
-
-    _fields = ("ring", "module", "vector", "length", "reduced_length", "cb", "dimension")
 
     def __init__(
         self,

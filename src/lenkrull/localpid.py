@@ -31,8 +31,6 @@ from .value import Value
 class LocalPIDModule(Value):
     """Free rank plus torsion multiplicities (exponent -> number of summands)."""
 
-    _fields = ("free_rank", "torsion")
-
     def __init__(self, free_rank: int, torsion: tuple[tuple[int, int], ...] = ()):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)

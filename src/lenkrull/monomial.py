@@ -108,8 +108,6 @@ class MonomialIdeal(Value):
     g^2/16 bytes for g of them.
     """
 
-    _fields = ("n_vars", "gens")
-
     def __init__(self, n_vars: int, gens: tuple[Monomial, ...]):
         object.__setattr__(self, "n_vars", n_vars)
         distinct = set(gens)

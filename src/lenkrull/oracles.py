@@ -63,7 +63,6 @@ from .value import Value
 from .zmodule import (
     ZNormalForm,
     ZPresentation,
-    count_prime_factors,
     factorize,
     kernel_columns,
     length_vector_z,
@@ -89,8 +88,6 @@ SAMPLE_MAX_VARS, SAMPLE_MAX_GENS, SAMPLE_MAX_EXP = 4, 8, 5
 class FiniteAbelianGroup(Value):
     """Canonical primary decomposition: a sorted tuple of prime powers >= 2."""
 
-    _fields = ("prime_power_factors",)
-
     def __init__(self, prime_power_factors: tuple[int, ...] = ()):
         object.__setattr__(self, "prime_power_factors", prime_power_factors)
         if list(self.prime_power_factors) != sorted(self.prime_power_factors):
@@ -98,9 +95,6 @@ class FiniteAbelianGroup(Value):
         for q in self.prime_power_factors:
             if len(factorize(q)) != 1:
                 raise ValueError(f"{q} is not a prime power")
-
-    def composition_length(self) -> int:
-        return sum(count_prime_factors(q) for q in self.prime_power_factors)
 
 
 def _element_ops(orders: Sequence[int]):
@@ -198,8 +192,8 @@ def recursive_length(group: FiniteAbelianGroup) -> int:
 
 
 def check_length_recursion(group: FiniteAbelianGroup) -> bool:
-    """Recursive length == composition length == coheight-0 multiplicity."""
-    expected = group.composition_length()
+    """The lattice's recursive length equals ``_torsion_length`` of the group's
+    Smith form: one brute force against one engine reading."""
     nf = smith_normal_form(
         ZPresentation(
             len(group.prime_power_factors),
@@ -209,7 +203,7 @@ def check_length_recursion(group: FiniteAbelianGroup) -> bool:
             ),
         )
     )
-    return recursive_length(group) == expected == _torsion_length(nf)
+    return recursive_length(group) == _torsion_length(nf)
 
 
 def _partitions(n: int, cap: int) -> list[tuple[int, ...]]:
@@ -284,8 +278,6 @@ def factorize_by_trial_division(n: int, bound: int) -> dict[int, int]:
 class StandardPair(Value):
     """One free cell root * k[x_i : i in face] of the standard monomials."""
 
-    _fields = ("root", "face")
-
     def __init__(self, root: Monomial, face: frozenset[int]):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "face", face)
@@ -304,15 +296,6 @@ def minimal_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
         if not any(all(map(operator.le, h, g)) for h in minimal):
             minimal.append(g)
     return tuple(minimal)
-
-
-def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
-    """Colon by all powers of the product of the given variables."""
-    kill = set(variables)
-    return MonomialIdeal(
-        ideal.n_vars,
-        tuple(tuple(0 if i in kill else e for i, e in enumerate(g)) for g in ideal.gens),
-    )
 
 
 def _box_size(sides: Sequence[int]) -> int:
@@ -483,8 +466,6 @@ def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
 class VerifyReport(Value):
     """One suite's run: its name, trial count and seed, checks made, failures."""
 
-    _fields = ("suite", "trials", "seed", "checked", "failures")
-
     def __init__(
         self,
         suite: str,
@@ -504,24 +485,12 @@ class VerifyReport(Value):
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "checked": self.checked,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        return {**self.__dict__, "failures": list(self.failures), "ok": self.ok}
 
 
 def quotient_z(pres: ZPresentation, extra: Iterable[Sequence[int]]) -> ZPresentation:
     """Presentation of the quotient by the submodule generated by ``extra``."""
-    cols = list(pres.relations)
-    for vec in extra:
-        if len(vec) != pres.generators:
-            raise ValueError("quotient vector height mismatch")
-        cols.append(tuple(int(x) for x in vec))
-    return ZPresentation(pres.generators, tuple(cols))
+    return ZPresentation(pres.generators, pres.relations + tuple(tuple(map(int, v)) for v in extra))
 
 
 def submodule_normal_form(pres: ZPresentation, gens: Sequence[Sequence[int]]) -> ZNormalForm:

@@ -32,8 +32,6 @@ Term = tuple[int, int]
 class Ordinal(Value):
     """An ordinal < w^w; ``terms`` is the Cantor normal form."""
 
-    _fields = ("terms",)
-
     def __init__(self, terms: tuple[Term, ...] = ()):
         object.__setattr__(self, "terms", terms)
         prev = None
@@ -99,10 +97,6 @@ class Ordinal(Value):
         return Ordinal(head + ((0, c - 1),) if c > 1 else head)
 
     # -- inspection ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_successor(self) -> bool:

@@ -6,57 +6,20 @@ invariants (free rank, invariant-factor chain), from which the per-coheight
 multiplicities over Z follow: the zero prime has coheight 1 and picks up the
 free rank, each finite prime p contributes v_p(d_i) at coheight 0.
 
-A presentation with at most one generator or at most one relation has the
-gcd g of all its entries as its only determinantal divisor, so its Smith form
-is read off g without any elimination: the free rank is the generator count
-less one when g is nonzero, and g is the one invariant factor when g > 1.
-Every other shape goes through the reduction.  It works on the transpose,
-one row per relation (a matrix and its transpose have the same invariant
-factors), and keeps only the diagonal.  Pivoting is deterministic (smallest
-absolute value, ties by lowest (row, column) in the current matrix), and
-each step works on the block not yet diagonal.  A pivot p clears its column
-with one row operation per row, after Kannan and Bachem (SIAM J. Comput. 8,
-1979): an entry x that p divides goes by subtracting x // p times the pivot
-row, any other x by the determinant-1 combination [[s, u], [-x/g, p/g]] of
-the pivot row and its own, where s*p + u*x = g = gcd(p, x), which leaves g
-at the pivot and 0 below it.  The pivot's row is then cleared the same way
-with column operations.  While the column is clear, a column operation
-changes the pivot row alone, so an entry that p divides is just zeroed;
-once a combination has refilled the column, the multiple of the pivot
-column is subtracted in every row and the column is cleared again.  Each
-combination replaces p by a proper divisor, so the step ends.  The numbers
-still grow: on dense inputs the entries run to thousands of bits, and the
-cost is heavy-tailed in the size of the matrix.
+Each algorithm is told in full at its function:
 
-The exact sequences of the additivity checks need integer kernels and the
-saturated torsion sublattice; ``kernel_columns`` finds a kernel by bringing
-[A; I] to column echelon form with unimodular column operations, and the
-saturation of the column space is the kernel of the left kernel, found by two
-such calls.  It keeps Euclid rounds, and with them the bases its tests pin:
-each round on a row pivots on the least nonzero absolute value (among the
-columns not yet pivoted, ties by lowest column), made positive; every other
-column subtracts the nearest-integer multiple of the pivot column, in place
-and over that row and the rows below it only, and the rounds repeat until
-the pivot alone is nonzero in the row.
-With ``keep=t`` the identity block carries only its first t rows: the pivots
-look at A's rows alone, so each basis vector comes back as exactly its first
-t coordinates, which is all a submodule's relations need.  Only the oracles
-call these two routines, but they stay here: the benchmark's tracer
-(``perfbench/worker.py``) times them as ``zmodule`` calls, and its tests pin
-that lookup.
-
-Factorization is trial division up to ``FACTOR_BOUND`` (10^6), a fixed cap
-that nothing overrides, with one early exit: once the divisor reaches
-``PRIME_TEST_FROM``, and again after every division past that point, the
-cofactor gets a deterministic Miller-Rabin test with the first 13 primes
-2, 3, 5, ..., 41 as bases.  No composite below ``MILLER_RABIN_LIMIT``
-(3,317,044,064,679,887,385,961,981) is a strong probable prime to all of
-them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 86, 2017), so a pass there is a proof of primality and nothing
-probabilistic reaches an answer.  Larger or composite cofactors go on with
-plain trial division.  A refusal names a cofactor of ``SHOWN_BELOW`` or more
-by its number of digits, since Python converts no integer of more than
-``sys.get_int_max_str_digits()`` digits to text.
+* ``smith_normal_form``: the gcd shortcut for at most one generator or
+  relation, and otherwise ``_smith_reduce``'s extended-gcd pivot steps and
+  ``_divisibility_chain``;
+* ``kernel_columns``: integer kernels by column echelon form in Euclid
+  rounds, and ``torsion_lattice_basis``, the saturated torsion sublattice
+  from two of them.  Only the oracles' exact sequences call these two, but
+  they stay here: the benchmark's tracer (``perfbench/worker.py``) times
+  them as ``zmodule`` calls, and its tests pin that lookup;
+* ``factorize``: trial division up to ``FACTOR_BOUND``, a fixed cap that
+  nothing overrides, with ``_proven_prime``'s deterministic Miller-Rabin
+  test as an early exit;
+* ``length_vector_z``: the multiplicities, factoring one invariant factor.
 """
 
 from __future__ import annotations
@@ -84,8 +47,6 @@ Vector = tuple[int, ...]
 class ZPresentation(Value):
     """Z^generators modulo the span of the relation columns."""
 
-    _fields = ("generators", "relations")
-
     def __init__(self, generators: int, relations: tuple[Vector, ...] = ()):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relations", relations)
@@ -100,8 +61,6 @@ class ZPresentation(Value):
 
 class ZNormalForm(Value):
     """Invariants of a f.g. abelian group: Z^free_rank + sum of Z/d_i, d_i | d_{i+1}."""
-
-    _fields = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
         object.__setattr__(self, "free_rank", free_rank)
@@ -134,8 +93,9 @@ def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
     above t and columns left of t are already zero off the diagonal, so
     every operation runs over the active block only.
 
-    The column pass clears column t below the pivot, one row at a time.  An
-    entry x that p divides goes by subtracting x // p times the pivot row.
+    The column pass clears column t below the pivot, one row at a time,
+    after Kannan and Bachem (SIAM J. Comput. 8, 1979).  An entry x that p
+    divides goes by subtracting x // p times the pivot row.
     Otherwise, with s*p + u*x = g = gcd(p, x), the pivot row and row i are
     replaced by the rows of [[s, u], [-x/g, p/g]] times them: that matrix
     has determinant (s*p + u*x) / g = 1, it puts g at the pivot and 0 below
@@ -154,7 +114,7 @@ def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
 
     Entries still grow: the combinations keep the number of operations down,
     not the size of the numbers, which on dense inputs runs to thousands of
-    bits.
+    bits, so the cost is heavy-tailed in the size of the matrix.
     """
     k = len(a)
     t = 0
@@ -248,12 +208,8 @@ def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
     entries is the only determinantal divisor: the free rank is the
     generator count less [g != 0], and the chain is (g,) when g > 1.  Any
     other shape is diagonalized by ``_smith_reduce`` on the transpose (a
-    matrix and its transpose have the same invariant factors), which clears
-    each pivot's column and row with one determinant-1 extended-gcd
-    combination per entry that the pivot does not divide, and
-    ``_divisibility_chain`` turns its diagonal into the chain.  The entries
-    are not kept small, so the cost still grows with the digits the
-    elimination produces, not only with the shape.
+    matrix and its transpose have the same invariant factors), and
+    ``_divisibility_chain`` turns its diagonal into the chain.
     """
     rels = pres.relations
     if pres.generators <= 1 or len(rels) <= 1:
@@ -278,6 +234,8 @@ def kernel_columns(k: int, columns: Sequence[Vector], keep: int | None = None) -
     in their identity part.  With ``keep=t`` the identity part holds only
     its first t rows, and each basis vector comes back as its first t
     coordinates: the pivots read A's rows alone, so nothing else changes.
+    The rounds stay Euclid's, not ``_smith_reduce``'s combinations, and with
+    them the bases the tests pin.
     """
     m = len(columns)
     if keep is None:
@@ -350,8 +308,11 @@ def factorize(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
     test, so answers and refusals do not change; a prime between bound**2
     and d_end**2 is accepted, as before.
 
-    A negative bound is refused before any work: it would try no divisor past
-    3 and accept composite cofactors as prime.
+    A refusal names a cofactor of ``SHOWN_BELOW`` or more by its number of
+    digits, since Python converts no integer of more than
+    ``sys.get_int_max_str_digits()`` digits to text.  A negative bound is
+    refused before any work: it would try no divisor past 3 and accept
+    composite cofactors as prime.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -395,8 +356,11 @@ def _decimal_digits(n: int) -> int:
 def _proven_prime(n: int) -> bool:
     """True when n is prime and below ``MILLER_RABIN_LIMIT``; False otherwise.
 
-    Strong probable-prime test to every base in ``MILLER_RABIN_BASES``, which
-    no composite below the limit passes.
+    Strong probable-prime test to every base in ``MILLER_RABIN_BASES``, the
+    first 13 primes.  No composite below the limit passes all of them
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+    Comp. 86, 2017), so a pass is a proof and nothing probabilistic reaches
+    an answer.
     """
     if n < 2 or n >= MILLER_RABIN_LIMIT:
         return False
@@ -418,11 +382,6 @@ def _proven_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def count_prime_factors(n: int) -> int:
-    """Number of prime factors with multiplicity (the length of Z/n)."""
-    return sum(factorize(n).values())
 
 
 @lru_cache(maxsize=256)

@@ -1,11 +1,21 @@
 """Small readings of the engine's values, and reference routines, that only the tests need."""
 
 import operator
+from collections.abc import Iterable
 
 from lenkrull.errors import ParseError
 from lenkrull.monomial import Monomial, MonomialIdeal
 from lenkrull.ordinal import Ordinal
 from lenkrull.scan import Scanner
+
+
+def strip_variables(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
+    """Colon by all powers of the product of the given variables."""
+    kill = set(variables)
+    return MonomialIdeal(
+        ideal.n_vars,
+        tuple(tuple(0 if i in kill else e for i, e in enumerate(g)) for g in ideal.gens),
+    )
 
 
 def contains(ideal: MonomialIdeal, monomial: Monomial) -> bool:

@@ -144,6 +144,21 @@ def test_factor_bound_ignores_the_environment(monkeypatch):
     assert json.loads(text)["length_vector"] == {"0": 2}
 
 
+@pytest.mark.parametrize(
+    "line, module, vector",
+    [
+        ("localpid --free 2 --torsion '1:0,3:1'", "A^2 (+) A/I^3", "{1: 2, 0: 3}"),
+        ("localpid --torsion '1:0'", "0", "{}"),
+    ],
+)
+def test_localpid_drops_zero_torsion_counts(line, module, vector):
+    code, text = run(line)
+    assert code == 0
+    lines = text.splitlines()
+    assert f"module: {module}" in lines
+    assert f"length_vector: {vector}" in lines
+
+
 def test_verify_oracle_equivalence_suite():
     code, text = run("verify --suite oracle-equivalence --trials 20 --output json")
     assert code == 0

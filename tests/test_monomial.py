@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contains, max_exponents
+from helpers import contains, max_exponents, strip_variables
 from lenkrull import monomial, oracles
 from lenkrull.errors import SizeBoundError
 from lenkrull.monomial import (
@@ -25,7 +25,6 @@ from lenkrull.oracles import (
     _saturation_members,
     local_multiplicity_oracle,
     standard_pairs,
-    strip_variables,
 )
 
 

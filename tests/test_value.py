@@ -4,9 +4,12 @@ Each class is compared with a reference made by ``dataclasses.make_dataclass``
 from the same field names, holding the same field values: equal ``repr``
 (a class's own ``__repr__``/``__str__`` is copied onto its reference, as a
 dataclass keeps a method the class defines), equal ``hash``, and ``==`` and
-``!=`` deciding every pair alike.
+``!=`` deciding every pair alike.  Each instance's ``__dict__`` must hold
+exactly those fields in that order, since the base reads all three from it.
 """
 
+import importlib
+import pkgutil
 from dataclasses import make_dataclass
 from itertools import accumulate
 from operator import mul
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lenkrull
 from lenkrull.cli import OUTPUTS, SUITES, Request
 from lenkrull.length_core import (
     CBResult,
@@ -28,6 +32,7 @@ from lenkrull.localpid import LocalPIDModule
 from lenkrull.monomial import MonomialIdeal
 from lenkrull.oracles import FiniteAbelianGroup, StandardPair, VerifyReport
 from lenkrull.ordinal import Ordinal
+from lenkrull.value import Value
 from lenkrull.zmodule import ZNormalForm, ZPresentation
 
 # small domains, so that two draws are often equal
@@ -155,7 +160,22 @@ classes = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name
 
 
 def test_every_value_class_is_covered():
-    assert len(CASES) == 15
+    # every module but __main__, which runs the command line when imported
+    modules = [
+        importlib.import_module(f"lenkrull.{info.name}")
+        for info in pkgutil.iter_modules(lenkrull.__path__)
+        if info.name != "__main__"
+    ]
+    defined = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Value)
+        and obj is not Value
+        and obj.__module__ == module.__name__
+    }
+    assert defined == set(CASES)
 
 
 @classes
@@ -163,6 +183,7 @@ def test_every_value_class_is_covered():
 def test_repr_eq_and_hash_match_a_frozen_dataclass(cls, data):
     strategy = CASES[cls][1]
     a, b = data.draw(strategy), data.draw(strategy)
+    assert tuple(vars(a)) == CASES[cls][0]
     ra, rb = reference(a), reference(b)
     assert repr(a) == repr(ra)
     assert hash(a) == hash(ra)

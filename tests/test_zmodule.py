@@ -15,7 +15,6 @@ from lenkrull.zmodule import (
     PRIME_TEST_FROM,
     ZNormalForm,
     ZPresentation,
-    count_prime_factors,
     factorize,
     is_prime,
     is_squarefree,
@@ -370,6 +369,10 @@ class TestLambdaAndQuotient:
         mixed = ZPresentation(2, ((2, 0),))
         assert smith_normal_form(quotient_z(mixed, [(0, 3)])) == ZNormalForm(0, (6,))
 
+    def test_quotient_refuses_a_vector_of_the_wrong_height(self):
+        with pytest.raises(ValueError):
+            quotient_z(ZPresentation(2, ()), [(1,)])
+
 
 class TestExactSequences:
     @given(
@@ -385,7 +388,7 @@ class TestExactSequences:
         nf_n = smith_normal_form(quotient_z(pres, gens))
         assert nf_m.free_rank == nf_n.free_rank + nf_k.free_rank
         if nf_k.free_rank == 0:
-            tor = lambda nf: sum(count_prime_factors(d) for d in nf.invariant_factors)
+            tor = lambda nf: sum(sum(factorize(d).values()) for d in nf.invariant_factors)
             assert tor(nf_m) == tor(nf_n) + tor(nf_k)
 
     def test_finite_kernel_preserves_free_rank(self):
@@ -398,7 +401,6 @@ class TestExactSequences:
 class TestFactorization:
     def test_basic(self):
         assert factorize(12) == {2: 2, 3: 1}
-        assert count_prime_factors(12) == 3
         assert is_squarefree(30)
         assert not is_squarefree(12)
 

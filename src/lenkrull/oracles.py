@@ -1,43 +1,28 @@
-"""Brute-force verifiers: subgroup lattices, recursive lengths, random exact sequences.
+"""Brute-force verifiers behind ``lenkrull verify``: four suites, each checking
+engine calls against a quantity computed here by enumeration or exactness.
 
-These recompute, by exhaustive enumeration or random sampling, quantities
-the main engines obtain in closed form.  They reuse the few engine routines
-named below; everything else is computed here, apart from the engines:
+* caractl: every abelian group of order at most ``CARACTL_MAX_ORDER``, as
+  its sorted tuple of prime powers.  Each group is built element by element,
+  and the longest chain in its subgroup lattice (the recursion "length = 1 +
+  max over proper quotients") is compared with ``length_vector_z`` of its
+  ``smith_normal_form``.
+* additivity: a random integer presentation M and a submodule K spanned by
+  random vectors or by combinations of ``torsion_lattice_basis``.  The
+  ``smith_normal_form`` of M and M/K and the ``submodule_normal_form`` of K
+  (relations from ``kernel_columns``) must add up: free ranks always,
+  torsion lengths when K is finite.
+* sigmaprime: a free module beside cyclic torsion, and K inside the torsion.
+  ``submodule_normal_form`` must find K finite, and ``smith_normal_form``
+  must give M/K the free rank of M.
+* oracle-equivalence: a random ideal from ``minimalize``.  ``face_counts``
+  must equal ``local_multiplicity_oracle`` at every face; the oracle counts
+  the box points between the ideal and its saturation with its own
+  membership test.
 
-* caractl: finite abelian groups are materialized element by element and
-  their full subgroup lattice is built by closing under cyclic extensions;
-  the longest chain of subgroups is an independent check that the
-  composition length satisfies the recursion "length = 1 + max over proper
-  quotients", with no engine inside the lattice.  ``factorize`` splits
-  group orders into prime powers, and ``length_vector_z`` of a
-  ``smith_normal_form``, once per group, gives the length the recursion
-  is compared with, as it does for the torsion additivity below;
-* additivity and sigmaprime: random integer presentations with random
-  submodules exercise rank additivity (always) and torsion additivity
-  (finite kernels), as well as invariance of the free rank under quotients
-  by finite submodules.  The submodule's relations come from
-  ``kernel_columns`` projected to the submodule's t generators (its
-  ``keep=t``), the torsion samples from ``torsion_lattice_basis``,
-  and all three modules of a sequence go through ``smith_normal_form``, so
-  these suites check the Smith form against exactness, not against a second
-  reduction;
-* ``factorize_by_trial_division``: plain trial division up to the bound, the
-  check on ``zmodule.factorize`` and its Miller-Rabin early exit;
-* oracle-equivalence: standard pairs are found by enumerating every point of
-  the exponent box, and local multiplicities by counting the box points
-  between an ideal and its saturation, both with their own membership test.
-  A point m lies in the saturation by the variables outside a face exactly
-  when, for each such variable x_j, some generator of the ideal (with the
-  face variables deleted) divides m in every coordinate but j; the oracle
-  tests that on the generators directly, without building the saturation.
-  ``minimalize`` builds the sampled ideals, and the counts are compared with
-  ``face_counts`` at every face;
-* ``minimal_generators``: the quadratic sweep that tests each sorted
-  generator against every kept one, the reference for the bitmask sweep in
-  ``MonomialIdeal``'s constructor; the multiplicity oracle minimalizes its
-  projected generators with it.
-
-Sampling is driven by an explicit seed, so every report is reproducible.
+The three randomized suites share one loop, ``_run_trials``, on one
+generator seeded by the caller, so every report is reproducible.
+``standard_pairs`` and ``minimal_generators`` are the box references for the
+monomial engine's standard pairs and its bitmask minimalization.
 
 The box helpers hold sets of box points as Python-int bitsets, the points
 numbered in ``itertools.product`` order (last coordinate fastest).  For each
@@ -55,9 +40,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import FactorBoundError, SizeBoundError
+from .errors import SizeBoundError
 from .monomial import Monomial, MonomialIdeal, _mask_vars, face_counts, minimalize
 from .value import Value
 from .zmodule import (
@@ -183,11 +168,9 @@ def _longest_chain(
 
 
 def recursive_length(group: FiniteAbelianGroup) -> int:
-    """Length defined by recursion on proper quotients: 0 for the trivial group,
-    otherwise 1 + the maximum over quotients by nonzero subgroups, read off
-    the subgroup lattice as the longest chain above the trivial subgroup."""
-    if not group.prime_power_factors:
-        return 0
+    """Length defined by recursion on proper quotients: 1 + the maximum over
+    quotients by nonzero subgroups, 0 for the trivial group, read off the
+    subgroup lattice as the longest chain above the trivial subgroup."""
     return enumerate_subgroups(group)[frozenset({0})]
 
 
@@ -204,71 +187,6 @@ def check_length_recursion(group: FiniteAbelianGroup) -> bool:
         )
     )
     return recursive_length(group) == _torsion_length(nf)
-
-
-def _partitions(n: int, cap: int) -> list[tuple[int, ...]]:
-    """Partitions of n into parts of at most ``cap``, parts decreasing, in
-    decreasing lexicographic order; module level for the reason given at
-    ``_longest_chain``."""
-    if n == 0:
-        return [()]
-    return [
-        (part,) + rest
-        for part in range(min(n, cap), 0, -1)
-        for rest in _partitions(n - part, part)
-    ]
-
-
-def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:
-    """All isomorphism types of abelian groups of the given order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    per_prime = []
-    for p, a in sorted(factorize(order).items()):
-        per_prime.append([[p**part for part in parts] for parts in _partitions(a, a)])
-    types = [FiniteAbelianGroup(())]
-    for options in per_prime:
-        types = [
-            FiniteAbelianGroup(tuple(sorted(t.prime_power_factors + tuple(opt))))
-            for t in types
-            for opt in options
-        ]
-    return types
-
-
-# ---------------------------------------------------------------------------
-# factorization by trial division
-
-
-def factorize_by_trial_division(n: int, bound: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division up to ``bound``.
-
-    A cofactor with no prime divisor <= bound is prime whenever it is at most
-    bound**2, or below d**2 for the first divisor d left untried; beyond that
-    the factorization is refused with ``FactorBoundError``, as is a negative
-    bound.
-    """
-    if bound < 0:
-        raise FactorBoundError(f"factor bound {bound} is negative")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d <= bound and d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        if d * d <= n and n > bound * bound:
-            raise FactorBoundError(
-                f"cannot certify a factorization of {n}: no prime divisor up to {bound}"
-            )
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,71 +454,64 @@ def _random_torsion_vectors(
     return out
 
 
-def check_additivity_z(trials: int, seed: int) -> VerifyReport:
+def _run_trials(
+    suite: str, trial: Callable[[random.Random], Iterator[str]], trials: int, seed: int
+) -> VerifyReport:
+    """Run ``trial(rng)`` ``trials`` times on one seeded generator; each
+    message it yields is a failure, prefixed with its trial's index."""
     rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for index in range(trials):
-        pres = _random_presentation(rng)
-        count = rng.randint(1, 3)
-        if rng.random() < 0.4:
-            gens = _random_torsion_vectors(rng, pres, count)
-        else:
-            gens = [
-                tuple(rng.randint(-6, 6) for _ in range(pres.generators))
-                for _ in range(count)
-            ]
-        nf_m = smith_normal_form(pres)
-        nf_k = submodule_normal_form(pres, gens)
-        nf_n = smith_normal_form(quotient_z(pres, gens))
-        checked += 1
-        if nf_m.free_rank != nf_n.free_rank + nf_k.free_rank:
-            failures.append(
-                f"trial {index}: rank additivity broke: {nf_m} vs {nf_n} + {nf_k}"
-            )
-        if nf_k.free_rank == 0 and (
-            _torsion_length(nf_m) != _torsion_length(nf_n) + _torsion_length(nf_k)
-        ):
-            failures.append(
-                f"trial {index}: torsion additivity broke with finite kernel: "
-                f"{nf_m} vs {nf_n} + {nf_k}"
-            )
-    return VerifyReport("additivity", trials, seed, checked, tuple(failures))
+    failures = tuple(
+        f"trial {index}: {message}" for index in range(trials) for message in trial(rng)
+    )
+    return VerifyReport(suite, trials, seed, trials, failures)
+
+
+def _additivity_trial(rng: random.Random) -> Iterator[str]:
+    pres = _random_presentation(rng)
+    count = rng.randint(1, 3)
+    if rng.random() < 0.4:
+        gens = _random_torsion_vectors(rng, pres, count)
+    else:
+        gens = [tuple(rng.randint(-6, 6) for _ in range(pres.generators)) for _ in range(count)]
+    nf_m = smith_normal_form(pres)
+    nf_k = submodule_normal_form(pres, gens)
+    nf_n = smith_normal_form(quotient_z(pres, gens))
+    if nf_m.free_rank != nf_n.free_rank + nf_k.free_rank:
+        yield f"rank additivity broke: {nf_m} vs {nf_n} + {nf_k}"
+    if nf_k.free_rank == 0 and (
+        _torsion_length(nf_m) != _torsion_length(nf_n) + _torsion_length(nf_k)
+    ):
+        yield f"torsion additivity broke with finite kernel: {nf_m} vs {nf_n} + {nf_k}"
+
+
+def check_additivity_z(trials: int, seed: int) -> VerifyReport:
+    """Free ranks add up along 0 -> K -> M -> M/K, and so do torsion lengths
+    when K is finite."""
+    return _run_trials("additivity", _additivity_trial, trials, seed)
+
+
+def _sigmaprime_trial(rng: random.Random) -> Iterator[str]:
+    free = rng.randint(0, 3)
+    torsion = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3))]
+    k = free + len(torsion)
+    columns = [tuple(m if j == free + i else 0 for j in range(k)) for i, m in enumerate(torsion)]
+    pres = ZPresentation(k, tuple(columns))
+    count = rng.randint(1, 3)
+    gens = [
+        tuple(0 if j < free else rng.randint(-10, 10) for j in range(k)) for _ in range(count)
+    ]
+    nf_m = smith_normal_form(pres)
+    nf_k = submodule_normal_form(pres, gens)
+    nf_n = smith_normal_form(quotient_z(pres, gens))
+    if nf_k.free_rank != 0:
+        yield f"sampled kernel is not finite: {nf_k}"
+    if nf_m.free_rank != nf_n.free_rank:
+        yield f"free rank changed under a finite kernel: {nf_m.free_rank} -> {nf_n.free_rank}"
 
 
 def check_sigmaprime_artinian_kernel(trials: int, seed: int) -> VerifyReport:
     """Quotients by finite submodules must preserve the free rank."""
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for index in range(trials):
-        free = rng.randint(0, 3)
-        torsion = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3))]
-        k = free + len(torsion)
-        columns = [
-            tuple(m if j == free + i else 0 for j in range(k))
-            for i, m in enumerate(torsion)
-        ]
-        pres = ZPresentation(k, tuple(columns))
-        count = rng.randint(1, 3)
-        gens = [
-            tuple(
-                0 if j < free else rng.randint(-10, 10) for j in range(k)
-            )
-            for _ in range(count)
-        ]
-        nf_m = smith_normal_form(pres)
-        nf_k = submodule_normal_form(pres, gens)
-        nf_n = smith_normal_form(quotient_z(pres, gens))
-        checked += 1
-        if nf_k.free_rank != 0:
-            failures.append(f"trial {index}: sampled kernel is not finite: {nf_k}")
-        if nf_m.free_rank != nf_n.free_rank:
-            failures.append(
-                f"trial {index}: free rank changed under a finite kernel: "
-                f"{nf_m.free_rank} -> {nf_n.free_rank}"
-            )
-    return VerifyReport("sigmaprime", trials, seed, checked, tuple(failures))
+    return _run_trials("sigmaprime", _sigmaprime_trial, trials, seed)
 
 
 def sample_monomial_ideal(rng: random.Random) -> MonomialIdeal:
@@ -614,35 +525,41 @@ def sample_monomial_ideal(rng: random.Random) -> MonomialIdeal:
     return minimalize(n, gens)
 
 
+def _oracle_equivalence_trial(rng: random.Random) -> Iterator[str]:
+    ideal = sample_monomial_ideal(rng)
+    counts = face_counts(ideal)
+    for mask in range(1 << ideal.n_vars):
+        face = frozenset(_mask_vars(mask))
+        expected = local_multiplicity_oracle(ideal, face)
+        if counts.get(face, 0) != expected:
+            yield (
+                f"ideal {ideal.gens} face {sorted(face)}: "
+                f"pairs {counts.get(face, 0)} != oracle {expected}"
+            )
+
+
 def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
     """Engine count per face (``face_counts``, the one ``ring`` and ``module``
     use) == saturation-oracle count, for random ideals."""
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for index in range(trials):
-        ideal = sample_monomial_ideal(rng)
-        checked += 1
-        counts = face_counts(ideal)
-        for mask in range(1 << ideal.n_vars):
-            face = frozenset(_mask_vars(mask))
-            expected = local_multiplicity_oracle(ideal, face)
-            if counts.get(face, 0) != expected:
-                failures.append(
-                    f"trial {index}: ideal {ideal.gens} face {sorted(face)}: "
-                    f"pairs {counts.get(face, 0)} != oracle {expected}"
-                )
-    return VerifyReport("oracle-equivalence", trials, seed, checked, tuple(failures))
+    return _run_trials("oracle-equivalence", _oracle_equivalence_trial, trials, seed)
 
 
 def caractl_groups() -> list[FiniteAbelianGroup]:
-    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, sorted by its prime powers."""
-    groups = [
-        group
-        for order in range(1, CARACTL_MAX_ORDER + 1)
-        for group in abelian_group_types(order)
-    ]
-    return sorted(groups, key=lambda group: group.prime_power_factors)
+    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, sorted by its prime powers.
+
+    A group is its non-decreasing tuple of prime powers, so the tuples are
+    grown one power at a time, never below the last one, while the product
+    stays within the bound; the list is read while it grows, breadth first.
+    """
+    powers = [q for q in range(2, CARACTL_MAX_ORDER + 1) if len(factorize(q)) == 1]
+    keys = [()]
+    for key in keys:
+        keys.extend(
+            key + (q,)
+            for q in powers
+            if q >= max(key, default=0) and math.prod(key) * q <= CARACTL_MAX_ORDER
+        )
+    return [FiniteAbelianGroup(key) for key in sorted(keys)]
 
 
 def run_length_recursion_suite() -> VerifyReport:

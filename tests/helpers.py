@@ -1,9 +1,15 @@
-"""Small readings of the engine's values, and reference routines, that only the tests need."""
+"""Small readings of the engine's values, and reference routines, that only the tests need.
+
+The references are ``euclid_smith_reduce``, the Smith reduction by Euclid
+restarts that ``zmodule._smith_reduce`` is checked against, and
+``factorize_by_trial_division``, the plain trial division that checks
+``zmodule.factorize`` and its Miller-Rabin early exit.
+"""
 
 import operator
 from collections.abc import Iterable
 
-from lenkrull.errors import ParseError
+from lenkrull.errors import FactorBoundError, ParseError
 from lenkrull.monomial import Monomial, MonomialIdeal
 from lenkrull.ordinal import Ordinal
 from lenkrull.scan import Scanner
@@ -127,3 +133,34 @@ def euclid_smith_reduce(a: list[list[int]], m: int) -> list[int]:
                 break
         t += 1
     return [a[i][i] for i in range(t)]
+
+
+def factorize_by_trial_division(n: int, bound: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division up to ``bound``.
+
+    A cofactor with no prime divisor <= bound is prime whenever it is at most
+    bound**2, or below d**2 for the first divisor d left untried; beyond that
+    the factorization is refused with ``FactorBoundError``, as is a negative
+    bound.
+    """
+    if bound < 0:
+        raise FactorBoundError(f"factor bound {bound} is negative")
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d = 5
+    while d <= bound and d * d <= n:
+        for p in (d, d + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        d += 6
+    if n > 1:
+        if d * d <= n and n > bound * bound:
+            raise FactorBoundError(
+                f"cannot certify a factorization of {n}: no prime divisor up to {bound}"
+            )
+        out[n] = out.get(n, 0) + 1
+    return out

@@ -24,7 +24,7 @@ from lenkrull.length_core import (
 )
 from lenkrull.monomial import minimalize
 from lenkrull.ordinal import Ordinal
-from lenkrull.zmodule import ZPresentation, length_vector_z, smith_normal_form
+from lenkrull.zmodule import ZPresentation
 
 GF2 = RingDescriptor("GF", 2)
 Z = RingDescriptor("Z")
@@ -98,24 +98,6 @@ class TestLengthVectorExamples:
         m = module(r, piece(r, gens=[(0,)]))
         assert length_vector(m).is_zero
         assert length(length_vector(m)) == Ordinal.zero()
-
-
-@st.composite
-def bare_integer_modules(draw):
-    """1-6 pieces Z/m, each with a zero or unit monomial part."""
-    pieces = draw(
-        st.lists(st.tuples(st.integers(0, 10**4), st.booleans()), min_size=1, max_size=6)
-    )
-    return [CyclicPiece(m, minimalize(0, [()] if unit else [])) for m, unit in pieces]
-
-
-@given(bare_integer_modules())
-def test_bare_integer_pieces_agree_with_the_smith_form_of_their_diagonal(pieces):
-    k = len(pieces)
-    diagonal = [1 if p.monomial_part.is_unit else p.integer_part for p in pieces]
-    columns = tuple(tuple(d if j == i else 0 for j in range(k)) for i, d in enumerate(diagonal))
-    expected = length_vector_z(smith_normal_form(ZPresentation(k, columns)))
-    assert length_vector(module(Z, *pieces)) == vec(expected)
 
 
 class TestValidation:

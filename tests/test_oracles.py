@@ -9,9 +9,11 @@ lengths from.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
+from helpers import factorize_by_trial_division
 from lenkrull import oracles
 from lenkrull.zmodule import ZNormalForm
 
@@ -37,36 +39,51 @@ def _off_by_one_at_the_full_face(engine):
 
 
 @pytest.mark.parametrize(
-    "suite, engine, fault, message",
+    "suite, engine, fault, message, first, last",
     [
         (
             oracles.check_oracle_equivalence,
             "face_counts",
             _off_by_one_at_the_full_face,
             "!= oracle",
+            "trial 0: ideal ((0, 3), (1, 1)) face [0, 1]: pairs 1 != oracle 0",
+            "trial 19: ideal ((0, 4), (2, 2), (5, 0)) face [0, 1]: pairs 1 != oracle 0",
         ),
         (
             oracles.check_additivity_z,
             "smith_normal_form",
             _one_more_free_rank,
             "rank additivity broke",
+            "trial 0: rank additivity broke: ZNormalForm(free_rank=1, invariant_factors=(2,)) vs "
+            "ZNormalForm(free_rank=1, invariant_factors=()) + "
+            "ZNormalForm(free_rank=1, invariant_factors=(2,))",
+            "trial 19: rank additivity broke: ZNormalForm(free_rank=2, invariant_factors=()) vs "
+            "ZNormalForm(free_rank=2, invariant_factors=()) + "
+            "ZNormalForm(free_rank=1, invariant_factors=())",
         ),
         (
             oracles.check_sigmaprime_artinian_kernel,
             "submodule_normal_form",
             _one_more_free_rank,
             "sampled kernel is not finite",
+            "trial 0: sampled kernel is not finite: "
+            "ZNormalForm(free_rank=1, invariant_factors=(4,))",
+            "trial 19: sampled kernel is not finite: "
+            "ZNormalForm(free_rank=1, invariant_factors=(2, 36))",
         ),
     ],
     ids=["oracle-equivalence", "additivity", "sigmaprime"],
 )
-def test_suite_catches_a_broken_engine(monkeypatch, suite, engine, fault, message):
+def test_suite_catches_a_broken_engine(monkeypatch, suite, engine, fault, message, first, last):
+    """The failures, their ``trial i: `` prefixes and their order are pinned
+    as the suites gave them before they shared one trial loop."""
     assert suite(TRIALS, SEED).ok
     monkeypatch.setattr(oracles, engine, fault(getattr(oracles, engine)))
     report = suite(TRIALS, SEED)
     assert report.checked == TRIALS
-    assert report.failures
+    assert len(report.failures) == TRIALS
     assert all(message in failure for failure in report.failures)
+    assert (report.failures[0], report.failures[-1]) == (first, last)
 
 
 def _drop_last_invariant_factor(engine):
@@ -101,6 +118,25 @@ def test_caractl_asks_the_engine_once_per_group(monkeypatch):
     report = oracles.run_length_recursion_suite()
     assert report.ok and report.checked == 185
     assert len(calls) == 185
+
+
+# p(a), the number of partitions of a, for every exponent a of an order <= 100
+PARTITIONS = (1, 1, 2, 3, 5, 7, 11)
+
+
+def test_caractl_groups_are_every_abelian_group_once():
+    """Of each order n there are as many groups as the product of p(a) over
+    the prime powers p^a that divide n exactly; each is one sorted tuple of
+    prime powers, listed once, in sorted order."""
+    keys = [group.prime_power_factors for group in oracles.caractl_groups()]
+    assert keys == sorted(set(keys))
+    for key in keys:
+        assert list(key) == sorted(key)
+        assert all(len(factorize_by_trial_division(q, q)) == 1 for q in key)
+    assert Counter(math.prod(key) for key in keys) == {
+        n: math.prod(PARTITIONS[a] for a in factorize_by_trial_division(n, n).values())
+        for n in range(1, oracles.CARACTL_MAX_ORDER + 1)
+    }
 
 
 def _omega(n: int) -> int:

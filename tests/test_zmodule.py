@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import euclid_smith_reduce
+from helpers import euclid_smith_reduce, factorize_by_trial_division
 from lenkrull.errors import FactorBoundError
-from lenkrull.oracles import factorize_by_trial_division, quotient_z, submodule_normal_form
+from lenkrull.oracles import quotient_z, submodule_normal_form
 from lenkrull.zmodule import (
     FACTOR_BOUND,
     MILLER_RABIN_LIMIT,

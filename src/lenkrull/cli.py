@@ -220,10 +220,11 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
     to an integer generator 1 over the integers), and a later factor may be any
     number of value 1; any other bare number starting a generator is an
     integer generator, and 0 contributes nothing.  A factor's whitespace is
-    read with it, so a separator starts at ``sc.pos``.  With variables the
-    integer must be squarefree, which is tested once every generator is read:
-    a unit monomial makes the piece zero whatever the integer is, so it skips
-    the test.
+    read with it, so a separator starts at ``sc.pos``.  The integer is
+    factored here, so that a factor-bound refusal points at its text, and
+    with variables it must be squarefree.  Both wait until every generator
+    is read: a unit monomial makes the piece zero whatever the integer is,
+    so it skips them.
     """
     index = {name: i for i, name in enumerate(ring.vars)}
     text = sc.text
@@ -264,8 +265,8 @@ def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:
             break
         sc.pos += 1
     ideal = minimalize(len(ring.vars), monomials)
-    if integer_part and ring.vars and not ideal.is_unit:
-        if not _pointed(is_squarefree, integer_part, integer_span):
+    if integer_part and not ideal.is_unit:
+        if not _pointed(is_squarefree, integer_part, integer_span) and ring.vars:
             raise UnsupportedError(
                 f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
                 integer_span,

@@ -8,14 +8,16 @@ free rank, each finite prime p contributes v_p(d_i) at coheight 0.
 
 Each algorithm is told in full at its function:
 
+* ``_clear_below``: the one step that combines rows, clearing a column
+  below its pivot by extended-gcd combinations;
 * ``smith_normal_form``: the gcd shortcut for at most one generator or
-  relation, and otherwise ``_smith_reduce``'s extended-gcd pivot steps and
-  ``_divisibility_chain``;
-* ``kernel_columns``: integer kernels by column echelon form in Euclid
-  rounds, and ``torsion_lattice_basis``, the saturated torsion sublattice
-  from two of them.  Only the oracles' exact sequences call these two, but
-  they stay here: the benchmark's tracer (``perfbench/worker.py``) times
-  them as ``zmodule`` calls, and its tests pin that lookup;
+  relation, and otherwise ``_smith_reduce``'s pivot steps, which clear the
+  pivot's row by transposing, and ``_divisibility_chain``;
+* ``kernel_columns``: integer kernels by row echelon form of [A^T | I],
+  and ``torsion_lattice_basis``, the saturated torsion sublattice from two
+  of them.  Only the oracles' exact sequences call these two, but they
+  stay here: the benchmark's tracer (``perfbench/worker.py``) times them
+  as ``zmodule`` calls, and its tests pin that lookup;
 * ``factorize``: trial division up to ``FACTOR_BOUND``, a fixed cap that
   nothing overrides, with ``_proven_prime``'s deterministic Miller-Rabin
   test as an early exit;
@@ -85,32 +87,56 @@ def _xgcd(p: int, x: int) -> tuple[int, int, int]:
     return r0, s0, (r0 - s0 * p) // x
 
 
+def _clear_below(a: list[list[int]], t: int, c: int, m: int) -> int:
+    """Clear column c of ``a`` below row t by row operations; return the pivot.
+
+    The pivot ``a[t][c]`` must be nonzero; it is made positive, call it p.
+    Rows t.. must be zero left of column c, so the operations run over
+    columns c..m-1.  After Kannan and Bachem (SIAM J. Comput. 8, 1979), an
+    entry x below that p divides goes by subtracting x // p times row t.
+    Otherwise, with s*p + u*x = g = gcd(p, x), row t and x's row become the
+    rows of [[s, u], [-x/g, p/g]] times them: determinant 1, g at the pivot
+    and 0 below it, and p becomes g.  So the returned pivot is the gcd of
+    column c over rows t.. .
+    """
+    at = a[t]
+    if at[c] < 0:
+        at[c:m] = [-x for x in at[c:m]]
+    p = at[c]
+    for i in range(t + 1, len(a)):
+        ai = a[i]
+        x = ai[c]
+        if not x:
+            continue
+        if x % p == 0:
+            q = x // p
+            for j in range(c, m):
+                ai[j] -= q * at[j]
+        else:
+            g, s, u = _xgcd(p, x)
+            pg, xg = p // g, x // g
+            for j in range(c, m):
+                y, z = at[j], ai[j]
+                at[j] = s * y + u * z
+                ai[j] = pg * z - xg * y
+            p = g
+    return p
+
+
 def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
     """Diagonalize the k-row, m-column ``a`` in place; return the nonzero diagonal.
 
     Step t pivots on the entry of least absolute value in rows and columns
-    t.. (ties by lowest (row, column)), made positive; call it p.  Rows
-    above t and columns left of t are already zero off the diagonal, so
-    every operation runs over the active block only.
+    t.. (ties by lowest (row, column)).  Rows above t and columns left of t
+    are already zero off the diagonal, so every operation runs over the
+    active block only.
 
-    The column pass clears column t below the pivot, one row at a time,
-    after Kannan and Bachem (SIAM J. Comput. 8, 1979).  An entry x that p
-    divides goes by subtracting x // p times the pivot row.
-    Otherwise, with s*p + u*x = g = gcd(p, x), the pivot row and row i are
-    replaced by the rows of [[s, u], [-x/g, p/g]] times them: that matrix
-    has determinant (s*p + u*x) / g = 1, it puts g at the pivot and 0 below
-    it, and p becomes g.  Later rows meet the new pivot, and earlier rows
-    stay clear, so one pass clears the column.
-
-    The row pass clears row t the same way with column operations.  While
-    column t is clear below the pivot, subtracting a multiple of column t
-    changes row t alone, so an entry that p divides is just set to 0.  A
-    combination of columns t and j refills column t below the pivot; after
-    one, an entry that p divides is cleared by subtracting its multiple of
-    column t in every row t.., and the column pass runs again.  Every
-    combination replaces p by gcd(p, y) for an entry y that p does not
-    divide, a proper divisor of p, so the passes stop once p divides its
-    whole row, which the row pass then clears without a combination.
+    ``_clear_below`` clears column t below the pivot p.  Subtracting a
+    multiple of column t then changes row t alone, so every entry of row t
+    that p divides is set to 0.  If one is left, ``a`` is transposed (k and
+    m swap, and the invariant factors stay) and column t is cleared again:
+    it meets an entry that p does not divide, so p becomes a proper divisor
+    of itself, and the rounds stop.  ``a`` may end transposed.
 
     Entries still grow: the combinations keep the number of operations down,
     not the size of the numbers, which on dense inputs runs to thousands of
@@ -133,51 +159,19 @@ def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
             for i in range(t, k):
                 row = a[i]
                 row[pj], row[t] = row[t], row[pj]
-        at = a[t]
-        if at[t] < 0:
-            at[t:] = [-x for x in at[t:]]
-        p = at[t]
-        refilled = True
-        while refilled:
-            for i in range(t + 1, k):
-                ai = a[i]
-                x = ai[t]
-                if not x:
-                    continue
-                if x % p == 0:
-                    q = x // p
-                    for j in range(t, m):
-                        ai[j] -= q * at[j]
-                else:
-                    g, s, u = _xgcd(p, x)
-                    pg, xg = p // g, x // g
-                    for j in range(t, m):
-                        y, z = at[j], ai[j]
-                        at[j] = s * y + u * z
-                        ai[j] = pg * z - xg * y
-                    p = g
-            refilled = False
+        while True:
+            p = _clear_below(a, t, t, m)
+            at = a[t]
+            undivided = False
             for j in range(t + 1, m):
-                y = at[j]
-                if not y:
-                    continue
-                if y % p:
-                    g, s, u = _xgcd(p, y)
-                    pg, yg = p // g, y // g
-                    for i in range(t, k):
-                        row = a[i]
-                        z, w = row[t], row[j]
-                        row[t] = s * z + u * w
-                        row[j] = pg * w - yg * z
-                    p = g
-                    refilled = True
-                elif refilled:
-                    q = y // p
-                    for i in range(t, k):
-                        row = a[i]
-                        row[j] -= q * row[t]
+                if at[j] % p:
+                    undivided = True
                 else:
                     at[j] = 0
+            if not undivided:
+                break
+            a[:] = map(list, zip(*a))
+            k, m = m, k
         t += 1
     return [a[i][i] for i in range(t)]
 
@@ -223,59 +217,35 @@ def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
 def kernel_columns(k: int, columns: Sequence[Vector], keep: int | None = None) -> list[Vector]:
     """Basis of the integer kernel of the k-row matrix A with the given columns.
 
-    Unimodular column operations bring [A; I] to column echelon form, row by
-    row of A.  Each round on row r pivots on the entry of least absolute
-    value among the columns not yet pivoted (ties by lowest column), made
-    positive, and every other column subtracts the nearest-integer multiple
-    of the pivot column, leaving a remainder of at most half the pivot; the
-    rounds repeat until the pivot alone is nonzero in row r.  Earlier pivots
-    left those columns zero in the rows above r, so each operation runs over
-    rows r.. only.  The columns whose A part ends up zero hold a kernel basis
-    in their identity part.  With ``keep=t`` the identity part holds only
-    its first t rows, and each basis vector comes back as its first t
-    coordinates: the pivots read A's rows alone, so nothing else changes.
-    The rounds stay Euclid's, not ``_smith_reduce``'s combinations, and with
-    them the bases the tests pin.
+    Unimodular row operations bring [A^T | I] to row echelon form, one row
+    of A at a time.  For row r of A, the pivot is the entry of least
+    absolute value in column r among the rows not yet pivoted (ties by
+    lowest row), and ``_clear_below`` clears column r below it.  Earlier
+    pivots left those rows zero in the columns left of r.  The rows whose
+    A^T part ends up zero hold a kernel basis in their identity part.  With
+    ``keep=t`` the identity part holds only its first t columns, and each
+    basis vector comes back as its first t coordinates: the pivots and the
+    combinations read A's entries alone, so nothing else changes.
     """
     m = len(columns)
     if keep is None:
         keep = m
     n = k + keep
-    cols = []
-    for j, col in enumerate(columns):
-        c = list(col) + [0] * keep
-        if j < keep:
-            c[k + j] = 1
-        cols.append(c)
+    rows = [list(col) + [0] * keep for col in columns]
+    for j in range(min(m, keep)):
+        rows[j][k + j] = 1
     t = 0
     for r in range(k):
-        while True:
-            least = 0
-            for j in range(t, m):
-                x = abs(cols[j][r])
-                if x and (x < least or not least):
-                    least, p = x, j
-            if not least:
-                break
-            cols[t], cols[p] = cols[p], cols[t]
-            pivot = cols[t]
-            if pivot[r] < 0:
-                pivot[r:] = [-x for x in pivot[r:]]
-            half = least // 2
-            clean = True
-            for j in range(t + 1, m):
-                c = cols[j]
-                if c[r]:
-                    q = (c[r] + half) // least
-                    if q:
-                        for i in range(r, n):
-                            c[i] -= q * pivot[i]
-                    if c[r]:
-                        clean = False
-            if clean:
-                t += 1
-                break
-    return [tuple(col[k:]) for col in cols[t:]]
+        least = 0
+        for j in range(t, m):
+            x = abs(rows[j][r])
+            if x and (x < least or not least):
+                least, p = x, j
+        if least:
+            rows[t], rows[p] = rows[p], rows[t]
+            _clear_below(rows, t, r, n)
+            t += 1
+    return [tuple(row[k:]) for row in rows[t:]]
 
 
 def torsion_lattice_basis(pres: ZPresentation) -> list[Vector]:

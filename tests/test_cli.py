@@ -730,12 +730,12 @@ def scanner_parse_gens(sc, ring, stop):
         if not sc.try_lit(","):
             break
     ideal = minimalize(len(ring.vars), monomials)
-    if integer_part and ring.vars and not ideal.is_unit:
+    if integer_part and not ideal.is_unit:
         try:
             squarefree = zmodule.is_squarefree(integer_part)
         except FactorBoundError as exc:
             raise FactorBoundError(exc.message, integer_span) from None
-        if not squarefree:
+        if not squarefree and ring.vars:
             raise UnsupportedError(
                 f"integer generator {integer_part} is not squarefree (position {integer_span[0]})",
                 integer_span,

@@ -22,6 +22,7 @@ from lenkrull.zmodule import (
     length_vector_z,
     smith_normal_form,
     torsion_lattice_basis,
+    _clear_below,
     _divisibility_chain,
     _proven_prime,
     _smith_reduce,
@@ -241,6 +242,16 @@ class TestReductionAgainstReference:
     def test_same_chain_as_euclid_restarts(self, shape):
         _check_against_reference(*shape)
 
+    # each round that meets an undivided row entry transposes the matrix,
+    # swapping its row and column counts, so both extreme shapes are drawn
+    @given(_relation_rows(max_rows=12, max_cols=3))
+    def test_same_chain_on_tall_matrices(self, shape):
+        _check_against_reference(*shape)
+
+    @given(_relation_rows(max_rows=2, max_cols=12))
+    def test_same_chain_on_wide_matrices(self, shape):
+        _check_against_reference(*shape)
+
     @given(_relation_rows(max_rows=4, max_cols=4))
     def test_one_entry_per_unit_of_rank(self, shape):
         rows, m = shape
@@ -260,6 +271,40 @@ class TestReductionAgainstReference:
         # must come off every row, not just the pivot row, or the chain is (1, 2)
         rows = [[3, 2, -5], [-2, 0, -2]]
         assert _divisibility_chain(_smith_reduce([list(r) for r in rows], 3)) == [1, 4]
+
+
+_BIG = st.integers(-(10**12), 10**12)
+
+
+@st.composite
+def _step_inputs(draw):
+    """(a, t, c): rows of width m, the rows t.. zero left of column c, and a
+    nonzero pivot a[t][c]; the rows above t are arbitrary."""
+    m = draw(st.integers(1, 6))
+    c = draw(st.integers(0, m - 1))
+    row = st.lists(_BIG, min_size=m, max_size=m)
+    above = draw(st.lists(row, max_size=3))
+    below = draw(st.lists(row, min_size=1, max_size=6))
+    for r in below:
+        r[:c] = [0] * c
+    below[0][c] = draw(_BIG.filter(bool))
+    return above + below, len(above), c
+
+
+class TestClearBelow:
+    @given(_step_inputs())
+    def test_leaves_the_gcd_over_zeros(self, inputs):
+        a, t, c = inputs
+        m = len(a[0])
+        before = [list(row) for row in a]
+        p = _clear_below(a, t, c, m)
+        assert p == a[t][c] == gcd(*[row[c] for row in before[t:]]) > 0
+        assert all(row[c] == 0 for row in a[t + 1 :])
+        assert a[:t] == before[:t]
+        assert [row[:c] for row in a] == [row[:c] for row in before]
+        assert _divisibility_chain(euclid_smith_reduce(a, m)) == _divisibility_chain(
+            euclid_smith_reduce(before, m)
+        )
 
 
 def _maximal_minor_gcd(vectors, n: int) -> int:
@@ -312,13 +357,15 @@ class TestKernels:
         _check_keep(pres)
 
     def test_full_basis_is_unchanged(self):
-        # the bases returned before ``keep`` existed
+        # the bases returned before ``keep`` existed, but for the second: the
+        # extended-gcd step changed it, so it is also checked as a kernel basis
         assert kernel_columns(2, [(2, 4), (3, 6), (1, 2), (0, 0)]) == [
             (0, 1, -3, 0),
             (1, 0, -2, 0),
             (0, 0, 0, 1),
         ]
-        assert kernel_columns(1, [(6,), (10,), (15,)]) == [(-5, 3, 0), (0, -3, 2)]
+        assert kernel_columns(1, [(6,), (10,), (15,)]) == [(-5, 3, 0), (-30, 15, 2)]
+        _check_kernel(ZPresentation(1, ((6,), (10,), (15,))))
         assert kernel_columns(3, [(1, 2, 3), (4, 5, 6), (7, 8, 9), (-2, 0, 5)]) == [
             (1, -2, 1, 0)
         ]

@@ -183,9 +183,10 @@ def _factor(sc: Scanner, index: dict[str, int]) -> tuple[int, int, int]:
     the position of its first character.
 
     One match of ``_FACTOR`` reads a factor that names a variable or holds a
-    number ``int`` accepts.  Anything else is re-read by the Scanner's
-    primitives, which raise their own message and span: an unknown or
-    malformed name, a ``^`` without a number, a number past the digit limit.
+    number ``int`` accepts.  Anything else is refused: the Scanner's
+    primitives re-read it and raise their own message and span for an
+    unknown or malformed name, a ``^`` without a number, or a number past
+    the digit limit.
     """
     begin = sc.pos
     m = sc.match(_FACTOR)
@@ -202,14 +203,16 @@ def _factor(sc: Scanner, index: dict[str, int]) -> tuple[int, int, int]:
     sc.skip_ws()
     start = sc.pos
     if sc.peek().isdecimal():
-        var, value = -1, sc.nat()
+        sc.nat()  # a number past the digit limit
     else:
         name = sc.ident()
         if name not in index:
             sc.error(f"unknown variable {name!r}", start)
-        var, value = index[name], sc.nat() if sc.try_lit("^") else 1
-    sc.skip_ws()
-    return var, value, start
+        # a known name that _FACTOR refused: a ^ follows, without a number
+        # or with one past the digit limit
+        sc.expect_lit("^")
+        sc.nat()
+    raise AssertionError(f"_FACTOR refused a factor the Scanner reads, at position {start}")
 
 
 def _parse_gens(sc: Scanner, ring: RingDescriptor, stop: str) -> CyclicPiece:

@@ -20,7 +20,19 @@ engine calls against a quantity computed here by enumeration or exactness.
   membership test.
 
 The three randomized suites share one loop, ``_run_trials``, on one
-generator seeded by the caller, so every report is reproducible.
+generator seeded by the caller, so every report is reproducible: it depends
+on its seed and on ``Random.getrandbits`` only.  Each integer a trial draws
+comes from ``_draw(rng, lo, hi)``, each pick from a sequence is
+``seq[_draw(rng, 0, len(seq) - 1)]``, and ``rng.random()`` is the one other
+call.  ``_draw`` runs the loop that ``randint`` runs on CPython 3.10 to 3.13:
+``randrange(lo, hi + 1)`` hands the width n = hi - lo + 1 to ``_randbelow``,
+which draws ``getrandbits(n.bit_length())`` until the draw is below n.  So
+``_draw`` returns what ``randint`` returns and leaves the generator where
+``randint`` leaves it, and the pick is ``choice(seq)``, which calls
+``_randbelow(len(seq))``.  A report thus reads ``randint``'s stream without
+depending on ``randrange``'s internals, which the ``random`` documentation
+does not promise to keep.
+
 ``standard_pairs`` and ``minimal_generators`` are the box references for the
 monomial engine's standard pairs and its bitmask minimalization.
 
@@ -68,6 +80,8 @@ CARACTL_MAX_ORDER = 100
 MAX_TRIALS = {"additivity": 60_000, "sigmaprime": 100_000, "oracle-equivalence": 15_000}
 # most variables, generators and exponent of an ideal oracle-equivalence samples
 SAMPLE_MAX_VARS, SAMPLE_MAX_GENS, SAMPLE_MAX_EXP = 4, 8, 5
+# the orders of the cyclic torsion summands sigmaprime samples
+SIGMAPRIME_ORDERS = (2, 3, 4, 6, 8, 9)
 
 
 class FiniteAbelianGroup(Value):
@@ -418,7 +432,7 @@ def submodule_normal_form(pres: ZPresentation, gens: Sequence[Sequence[int]]) ->
     generators; its relation lattice is the projection to the first t
     coordinates of the kernel of [gens | relations].
     """
-    gcols = [tuple(int(x) for x in v) for v in gens]
+    gcols = [tuple(map(int, v)) for v in gens]
     for v in gcols:
         if len(v) != pres.generators:
             raise ValueError("submodule generator height mismatch")
@@ -431,12 +445,26 @@ def _torsion_length(nf: ZNormalForm) -> int:
     return length_vector_z(nf).get(0, 0)
 
 
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, value and generator state alike, drawn with
+    ``getrandbits`` alone (the module docstring says why they agree)."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _draws(rng: random.Random, count: int, lo: int, hi: int) -> tuple[int, ...]:
+    """``count`` values of ``_draw(rng, lo, hi)``, in order."""
+    return tuple([_draw(rng, lo, hi) for _ in range(count)])
+
+
 def _random_presentation(rng: random.Random) -> ZPresentation:
-    k = rng.randint(1, 4)
-    ncols = rng.randint(0, k + 2)
-    return ZPresentation(
-        k, tuple(tuple(rng.randint(-20, 20) for _ in range(k)) for _ in range(ncols))
-    )
+    k = _draw(rng, 1, 4)
+    ncols = _draw(rng, 0, k + 2)
+    return ZPresentation(k, tuple([_draws(rng, k, -20, 20) for _ in range(ncols)]))
 
 
 def _random_torsion_vectors(
@@ -445,12 +473,11 @@ def _random_torsion_vectors(
     basis = torsion_lattice_basis(pres)
     out = []
     for _ in range(count):
-        vec = [0] * pres.generators
+        vec = (0,) * pres.generators
         for b in basis:
-            c = rng.randint(-3, 3)
-            for i, bi in enumerate(b):
-                vec[i] += c * bi
-        out.append(tuple(vec))
+            c = _draw(rng, -3, 3)
+            vec = tuple([v + c * x for v, x in zip(vec, b)])
+        out.append(vec)
     return out
 
 
@@ -468,11 +495,11 @@ def _run_trials(
 
 def _additivity_trial(rng: random.Random) -> Iterator[str]:
     pres = _random_presentation(rng)
-    count = rng.randint(1, 3)
+    count = _draw(rng, 1, 3)
     if rng.random() < 0.4:
         gens = _random_torsion_vectors(rng, pres, count)
     else:
-        gens = [tuple(rng.randint(-6, 6) for _ in range(pres.generators)) for _ in range(count)]
+        gens = [_draws(rng, pres.generators, -6, 6) for _ in range(count)]
     nf_m = smith_normal_form(pres)
     nf_k = submodule_normal_form(pres, gens)
     nf_n = smith_normal_form(quotient_z(pres, gens))
@@ -491,15 +518,16 @@ def check_additivity_z(trials: int, seed: int) -> VerifyReport:
 
 
 def _sigmaprime_trial(rng: random.Random) -> Iterator[str]:
-    free = rng.randint(0, 3)
-    torsion = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3))]
-    k = free + len(torsion)
-    columns = [tuple(m if j == free + i else 0 for j in range(k)) for i, m in enumerate(torsion)]
-    pres = ZPresentation(k, tuple(columns))
-    count = rng.randint(1, 3)
-    gens = [
-        tuple(0 if j < free else rng.randint(-10, 10) for j in range(k)) for _ in range(count)
-    ]
+    free = _draw(rng, 0, 3)
+    last = len(SIGMAPRIME_ORDERS) - 1
+    torsion = [SIGMAPRIME_ORDERS[_draw(rng, 0, last)] for _ in range(_draw(rng, 0, 3))]
+    t = len(torsion)
+    # cyclic torsion Z/m on the generators after the free ones, one column each
+    columns = tuple([(0,) * (free + i) + (m,) + (0,) * (t - 1 - i) for i, m in enumerate(torsion)])
+    pres = ZPresentation(free + t, columns)
+    count = _draw(rng, 1, 3)
+    pad = (0,) * free
+    gens = [pad + _draws(rng, t, -10, 10) for _ in range(count)]
     nf_m = smith_normal_form(pres)
     nf_k = submodule_normal_form(pres, gens)
     nf_n = smith_normal_form(quotient_z(pres, gens))
@@ -515,12 +543,12 @@ def check_sigmaprime_artinian_kernel(trials: int, seed: int) -> VerifyReport:
 
 
 def sample_monomial_ideal(rng: random.Random) -> MonomialIdeal:
-    n = rng.randint(1, SAMPLE_MAX_VARS)
+    n = _draw(rng, 1, SAMPLE_MAX_VARS)
     gens = []
-    for _ in range(rng.randint(0, SAMPLE_MAX_GENS)):
-        vec = tuple(rng.randint(0, SAMPLE_MAX_EXP) for _ in range(n))
+    for _ in range(_draw(rng, 0, SAMPLE_MAX_GENS)):
+        vec = _draws(rng, n, 0, SAMPLE_MAX_EXP)
         while not any(vec):
-            vec = tuple(rng.randint(0, SAMPLE_MAX_EXP) for _ in range(n))
+            vec = _draws(rng, n, 0, SAMPLE_MAX_EXP)
         gens.append(vec)
     return minimalize(n, gens)
 

@@ -294,6 +294,65 @@ class TestCaractlOptions:
         assert cli.run_batch(str(batch), "text") == (1, expected + [GOLDEN_Z_MOD_2_TEXT])
 
 
+class TestRefusals:
+    """Input errors of the ring, torsion and matrix parsers, each given as
+    arguments and as a batch line: exit 1, code ``parse``, message and span."""
+
+    CASES = [
+        ("ring 'R[x]'", "expected one of Z, Q, GF(p) at position 0", [0, 1]),
+        ("ring 'Z[x,x]'", "duplicate variable 'x' at position 4", [4, 5]),
+        ("ring 'Z[x]y'", "unexpected trailing input at position 4", [4, 5]),
+        ("localpid --torsion 1:2,1:3", "duplicate torsion exponent 1 at position 4", [4, 5]),
+        (
+            """zmodule --matrix '{"generators": 2}'""",
+            "matrix object is missing key 'relations'",
+            None,
+        ),
+        (
+            """zmodule --matrix '{"relations": [[1]]}'""",
+            "matrix object is missing key 'generators'",
+            None,
+        ),
+        ("zmodule --matrix 5", "matrix must be a JSON array or object", None),
+        ("zmodule --matrix '[]'", "an empty relation list needs --generators", None),
+        (
+            """zmodule --matrix '{"generators": -1, "relations": []}'""",
+            "generator count must be a non-negative integer",
+            None,
+        ),
+        ("zmodule --matrix '[[1,2],[3]]'", "relation (3,) has height 1, expected 2", None),
+    ]
+
+    @staticmethod
+    def text(message, span):
+        where = f" at {span[0]}..{span[1]}" if span else ""
+        return f"error[parse]{where}: {message}"
+
+    @pytest.mark.parametrize("line, message, span", CASES, ids=[c[0][:20] for c in CASES])
+    def test_refused_from_argv(self, capsys, line, message, span):
+        argv = shlex.split(line)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == self.text(message, span) + "\n"
+        assert cli.main(["--output", "json", *argv]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"code": "parse", "message": message, "span": span}
+        }
+
+    def test_refused_from_a_batch_line(self, tmp_path):
+        lines, expected = [], []
+        for line, message, span in self.CASES:
+            lines += [line, f"{line} --output json"]
+            expected += [
+                self.text(message, span),
+                json.dumps(
+                    {"error": {"code": "parse", "message": message, "span": span}}, sort_keys=True
+                ),
+            ]
+        batch = tmp_path / "requests.txt"
+        batch.write_text("\n".join(lines + ["zmodule --matrix '[[2]]'"]) + "\n", encoding="utf-8")
+        assert cli.run_batch(str(batch), "text") == (1, expected + [GOLDEN_Z_MOD_2_TEXT])
+
+
 GOLDEN_Z_MOD_2_JSON = (
     '{"cb_rank": {"exact": "0"}, "dimension": 0, "length": "1", '
     '"length_vector": {"0": 1}, "module": "Z^1 / [[2]]", "reduced_length": "0", '
@@ -814,6 +873,9 @@ class TestIdealParser:
                 (3, 5),
             )),
             ("²", ("ParseError", "expected an identifier at position 0", (0, 1))),
+            ("²x", ("ParseError", "expected an identifier at position 0", (0, 1))),
+            ("x*", ("ParseError", "expected an identifier at position 2", (2, 3))),
+            (" z", ("ParseError", "unknown variable 'z' at position 1", (1, 2))),
             ("1000036000099, x", (
                 "FactorBoundError",
                 "cannot certify a factorization of 1000036000099: no prime divisor up to 1000000",
@@ -821,6 +883,7 @@ class TestIdealParser:
             )),
             (f"x^{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
             (f"x*{NINES}", ("ParseError", f"number exceeds the {LIMIT} at position 2", (2, 3))),
+            (NINES, ("ParseError", f"number exceeds the {LIMIT} at position 0", (0, 1))),
         ],
         ids=lambda value: value[:12] if isinstance(value, str) else "",
     )

@@ -6,18 +6,32 @@ and runs the suite on trials that pass with the real engine.  caractl, which
 checks a fixed set of groups, gets the same test on a few of them, a count of
 its engine calls, and direct checks of the subgroup lattice it reads its
 lengths from.
+
+A report only says ``ok``, so the randomized suites' draws are tested
+apart: ``_draw`` against ``randint`` and ``choice``, value and generator
+state alike, and the stream of engine inputs each suite sends, which a
+reordered draw changes while every report stays ``ok``.
 """
 
+import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import factorize_by_trial_division
 from lenkrull import oracles
 from lenkrull.zmodule import ZNormalForm
 
 TRIALS, SEED = 20, 3
+RANDOMIZED = {
+    "additivity": oracles.check_additivity_z,
+    "sigmaprime": oracles.check_sigmaprime_artinian_kernel,
+    "oracle-equivalence": oracles.check_oracle_equivalence,
+}
 
 
 def _one_more_free_rank(engine):
@@ -179,3 +193,103 @@ def test_subgroup_lattice(powers, count):
         assert all(add(a, b) in members for a in members for b in members)
         assert order % len(members) == 0
         assert length == _omega(order // len(members))
+
+
+# ---------------------------------------------------------------------------
+# the randomized suites' draws
+
+
+# every (lo, hi) the randomized suites pass to ``_draw``
+SUITE_RANGES = {
+    (-20, 20), (-10, 10), (-6, 6), (-3, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 8), (1, 3), (1, 4),
+}
+
+
+def test_the_suites_draw_from_these_ranges(monkeypatch):
+    drawn = set()
+    draw = oracles._draw
+
+    def recorded(rng, lo, hi):
+        drawn.add((lo, hi))
+        return draw(rng, lo, hi)
+
+    monkeypatch.setattr(oracles, "_draw", recorded)
+    assert all(suite(TRIALS, SEED).ok for suite in RANDOMIZED.values())
+    assert drawn == SUITE_RANGES
+
+
+def _assert_draws_are_randint(lo, hi, seed, count):
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        assert oracles._draw(ours, lo, hi) == reference.randint(lo, hi)
+        assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("lo, hi", sorted(SUITE_RANGES))
+def test_draw_is_randint_on_the_suites_ranges(lo, hi):
+    _assert_draws_are_randint(lo, hi, seed=lo * 100 + hi, count=300)
+
+
+@given(st.integers(-(2**80), 2**80), st.integers(0, 2**70), st.integers(0, 2**64))
+def test_draw_is_randint_on_wide_ranges(lo, width, seed):
+    _assert_draws_are_randint(lo, lo + width, seed, count=5)
+
+
+@given(st.integers(1, 2**20), st.integers(0, 2**64))
+def test_indexing_by_draw_is_choice(length, seed):
+    for seq in (range(length), oracles.SIGMAPRIME_ORDERS):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert seq[oracles._draw(ours, 0, len(seq) - 1)] == reference.choice(seq)
+            assert ours.getstate() == reference.getstate()
+
+
+ENGINES = ("smith_normal_form", "submodule_normal_form", "torsion_lattice_basis", "face_counts")
+STREAM_SEEDS, STREAM_TRIALS = (0, 1, 7, 11), 50
+# (calls, SHA-256 of their repr) for the engine inputs below, recorded while
+# the suites drew through rng.randint and rng.choice; additivity's also
+# depends on the torsion basis the engine returns, which its vectors combine
+PINNED_STREAMS = {
+    "additivity": (684, "66216462282c3c54ba715305716e2ccd15e84c9893f31151b35a0fc9b548c770"),
+    "sigmaprime": (600, "0af9643ff679eb7cf332cfea1dfbc15a54a648263dce828508399ca24082f609"),
+    "oracle-equivalence": (200, "3215e21c2a4b2c2c5285f716bd4881c498a3324f7069457ea473bef7fa3706bd"),
+}
+
+
+def _engine_inputs(suite):
+    """The arguments of each engine call the trials make, over every stream
+    seed; calls an engine makes inside another, such as the Smith form inside
+    ``submodule_normal_form``, are left out."""
+    calls = []
+    depth = [0]
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ENGINES:
+            engine = getattr(oracles, name)
+
+            def recorded(*args, _engine=engine, _name=name):
+                if not depth[0]:
+                    calls.append((_name, args))
+                depth[0] += 1
+                try:
+                    return _engine(*args)
+                finally:
+                    depth[0] -= 1
+
+            patch.setattr(oracles, name, recorded)
+        for seed in STREAM_SEEDS:
+            assert suite(STREAM_TRIALS, seed).ok
+    return calls
+
+
+@pytest.mark.parametrize("name", RANDOMIZED)
+def test_engine_inputs_are_the_randint_stream(monkeypatch, name):
+    """Each suite sends its engines the inputs it sent when it drew through
+    ``randint`` and ``choice``: the same as with ``_draw`` swapped for
+    ``randint``, and the pinned recording of the suites as they drew before."""
+    suite = RANDOMIZED[name]
+    committed = _engine_inputs(suite)
+    monkeypatch.setattr(oracles, "_draw", lambda rng, lo, hi: rng.randint(lo, hi))
+    through_randint = _engine_inputs(suite)
+    assert committed == through_randint
+    digest = hashlib.sha256(repr(committed).encode()).hexdigest()
+    assert (len(committed), digest) == PINNED_STREAMS[name]

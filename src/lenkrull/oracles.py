@@ -2,10 +2,11 @@
 engine calls against a quantity computed here by enumeration or exactness.
 
 * caractl: every abelian group of order at most ``CARACTL_MAX_ORDER``, as
-  its sorted tuple of prime powers.  Each group is built element by element,
-  and the longest chain in its subgroup lattice (the recursion "length = 1 +
-  max over proper quotients") is compared with ``length_vector_z`` of its
-  ``smith_normal_form``.
+  its sorted tuple of prime powers.  ``enumerate_subgroups`` takes any tuple
+  of positive cyclic orders, builds the group element by element, and finds
+  the longest chain in its subgroup lattice (the recursion "length = 1 +
+  max over proper quotients"); that is compared with ``length_vector_z`` of
+  the ``smith_normal_form`` of the diagonal presentation.
 * additivity: a random integer presentation M and a submodule K spanned by
   random vectors or by combinations of ``torsion_lattice_basis``.  The
   ``smith_normal_form`` of M and M/K and the ``submodule_normal_form`` of K
@@ -49,6 +50,7 @@ grid is reused, so the oracle stays independent of what it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -84,37 +86,16 @@ SAMPLE_MAX_VARS, SAMPLE_MAX_GENS, SAMPLE_MAX_EXP = 4, 8, 5
 SIGMAPRIME_ORDERS = (2, 3, 4, 6, 8, 9)
 
 
-class FiniteAbelianGroup(Value):
-    """Canonical primary decomposition: a sorted tuple of prime powers >= 2."""
+def enumerate_subgroups(orders: tuple[int, ...]) -> dict[frozenset[int], int]:
+    """Every subgroup of Z/q_1 x ... x Z/q_n, for any positive cyclic orders
+    ``orders`` = (q_1, ..., q_n), as the set of its element codes, mapped to
+    the length of the longest chain of subgroups from it up to the whole group.
 
-    def __init__(self, prime_power_factors: tuple[int, ...] = ()):
-        object.__setattr__(self, "prime_power_factors", prime_power_factors)
-        if list(self.prime_power_factors) != sorted(self.prime_power_factors):
-            raise ValueError("prime power factors must be sorted")
-        for q in self.prime_power_factors:
-            if len(factorize(q)) != 1:
-                raise ValueError(f"{q} is not a prime power")
-
-
-def _element_ops(orders: Sequence[int]):
-    size = 1
-    strides = []
-    for q in orders:
-        strides.append(size)
-        size *= q
-
-    def decode(code: int) -> tuple[int, ...]:
-        return tuple((code // s) % q for q, s in zip(orders, strides))
-
-    def encode(vec: Sequence[int]) -> int:
-        return sum((x % q) * s for x, q, s in zip(vec, orders, strides))
-
-    return size, encode, decode
-
-
-def enumerate_subgroups(group: FiniteAbelianGroup) -> dict[frozenset[int], int]:
-    """Every subgroup, as the set of its element codes, mapped to the length of
-    the longest chain of subgroups from it up to the whole group.
+    The element (x_1, ..., x_n) has the mixed-radix code x_1 + q_1 (x_2 +
+    q_2 (x_3 + ...)), the first coordinate fastest, so 0 is the identity.
+    An order below 1 is refused, and the group order, the product of the
+    orders, is checked against ``MAX_GROUP_ORDER``, before the addition table
+    is built.
 
     By the correspondence theorem the subgroups of G/H are the subgroups of G
     that contain H, so that chain length is the length of G/H, and the entry
@@ -128,18 +109,20 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> dict[frozenset[int], int]:
     which reaches every subgroup, since each is generated by finitely many
     elements.
     """
-    orders = group.prime_power_factors
-    size, encode, decode = _element_ops(orders)
+    if not all(q > 0 for q in orders):
+        raise ValueError(f"cyclic orders must be positive, got {orders}")
+    size = math.prod(orders)
     if size > MAX_GROUP_ORDER:
         raise SizeBoundError(f"group order {size} exceeds the bound {MAX_GROUP_ORDER}")
 
-    vecs = [decode(c) for c in range(size)]
+    # product over the reversed orders lists the elements in code order,
+    # each as its coordinates from the last to the first
+    reverse = orders[::-1]
+    vecs = list(itertools.product(*map(range, reverse)))
+    code = {vec: c for c, vec in enumerate(vecs)}
     table = [
-        [
-            encode(tuple((x + y) % q for x, y, q in zip(vecs[a], vecs[b], orders)))
-            for b in range(size)
-        ]
-        for a in range(size)
+        [code[tuple([(x + y) % q for x, y, q in zip(a, b, reverse)])] for b in vecs]
+        for a in vecs
     ]
 
     longest: dict[frozenset[int], int] = {}
@@ -181,26 +164,22 @@ def _longest_chain(
     return longest[members]
 
 
-def recursive_length(group: FiniteAbelianGroup) -> int:
+def recursive_length(orders: tuple[int, ...]) -> int:
     """Length defined by recursion on proper quotients: 1 + the maximum over
     quotients by nonzero subgroups, 0 for the trivial group, read off the
-    subgroup lattice as the longest chain above the trivial subgroup."""
-    return enumerate_subgroups(group)[frozenset({0})]
+    subgroup lattice of Z/q_1 x ... x Z/q_n as the longest chain above the
+    trivial subgroup."""
+    return enumerate_subgroups(orders)[frozenset({0})]
 
 
-def check_length_recursion(group: FiniteAbelianGroup) -> bool:
-    """The lattice's recursive length equals ``_torsion_length`` of the group's
-    Smith form: one brute force against one engine reading."""
-    nf = smith_normal_form(
-        ZPresentation(
-            len(group.prime_power_factors),
-            tuple(
-                tuple(q if j == i else 0 for j in range(len(group.prime_power_factors)))
-                for i, q in enumerate(group.prime_power_factors)
-            ),
-        )
-    )
-    return recursive_length(group) == _torsion_length(nf)
+def check_length_recursion(orders: tuple[int, ...]) -> bool:
+    """The lattice's recursive length equals ``_torsion_length`` of the Smith
+    form of the diagonal presentation: one brute force against one engine
+    reading."""
+    n = len(orders)
+    diagonal = tuple(tuple(q if j == i else 0 for j in range(n)) for i, q in enumerate(orders))
+    nf = smith_normal_form(ZPresentation(n, diagonal))
+    return recursive_length(orders) == _torsion_length(nf)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +551,9 @@ def check_oracle_equivalence(trials: int, seed: int) -> VerifyReport:
     return _run_trials("oracle-equivalence", _oracle_equivalence_trial, trials, seed)
 
 
-def caractl_groups() -> list[FiniteAbelianGroup]:
-    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, sorted by its prime powers.
+def caractl_groups() -> list[tuple[int, ...]]:
+    """Every abelian group of order <= ``CARACTL_MAX_ORDER``, as its sorted
+    tuple of prime powers, in sorted order.
 
     A group is its non-decreasing tuple of prime powers, so the tuples are
     grown one power at a time, never below the last one, while the product
@@ -587,15 +567,15 @@ def caractl_groups() -> list[FiniteAbelianGroup]:
             for q in powers
             if q >= max(key, default=0) and math.prod(key) * q <= CARACTL_MAX_ORDER
         )
-    return [FiniteAbelianGroup(key) for key in sorted(keys)]
+    return sorted(keys)
 
 
 def run_length_recursion_suite() -> VerifyReport:
     """Length recursion on every group of ``caractl_groups``."""
     groups = caractl_groups()
     failures = [
-        f"length recursion failed for {group.prime_power_factors}"
-        for group in groups
-        if not check_length_recursion(group)
+        f"length recursion failed for {orders}"
+        for orders in groups
+        if not check_length_recursion(orders)
     ]
     return VerifyReport("caractl", len(groups), None, len(groups), tuple(failures))

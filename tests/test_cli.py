@@ -353,6 +353,44 @@ class TestRefusals:
         assert cli.run_batch(str(batch), "text") == (1, expected + [GOLDEN_Z_MOD_2_TEXT])
 
 
+class TestRequestLineRefusals:
+    """Lines the request parser refuses before any command runs: each gives
+    exit 1 and code ``parse``, and the batch line after it still answers."""
+
+    CASES = [
+        ("ring --ideal x", "ring needs a ring argument"),
+        ("zmodule x", "expected an option, got 'x'"),
+        ("ring Z --ideal 2 --ideal 3", "duplicate option --ideal"),
+        ("ring Z --ideal", "option --ideal needs a value"),
+    ]
+
+    @pytest.mark.parametrize("line, message", CASES, ids=[c[0] for c in CASES])
+    def test_the_next_batch_line_still_answers(self, tmp_path, line, message):
+        batch = tmp_path / "requests.txt"
+        batch.write_text(f"{line}\nzmodule --matrix '[[2]]'\n", encoding="utf-8")
+        assert cli.run_batch(str(batch), "text") == (
+            1,
+            [f"error[parse]: {message}", GOLDEN_Z_MOD_2_TEXT],
+        )
+        assert cli.run_batch(str(batch), "json") == (
+            1,
+            [
+                json.dumps(
+                    {"error": {"code": "parse", "message": message, "span": None}},
+                    sort_keys=True,
+                ),
+                GOLDEN_Z_MOD_2_JSON,
+            ],
+        )
+
+    def test_empty_request(self):
+        with pytest.raises(ParseError, match="^empty request$"):
+            cli.parse_request_line("  ")
+
+    def test_unknown_command_reaching_the_runner(self):
+        assert cli.run_request(cli.Request("nope")) == (1, "error[parse]: unknown command 'nope'")
+
+
 GOLDEN_Z_MOD_2_JSON = (
     '{"cb_rank": {"exact": "0"}, "dimension": 0, "length": "1", '
     '"length_vector": {"0": 1}, "module": "Z^1 / [[2]]", "reduced_length": "0", '

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from helpers import factorize_by_trial_division
 from lenkrull import oracles
-from lenkrull.zmodule import ZNormalForm
+from lenkrull.zmodule import ZNormalForm, ZPresentation
 
 TRIALS, SEED = 20, 3
 RANDOMIZED = {
@@ -42,6 +42,23 @@ def _one_more_free_rank(engine):
     return broken
 
 
+def _one_more_invariant_factor(engine):
+    def broken(*args):
+        nf = engine(*args)
+        last = nf.invariant_factors[-1] if nf.invariant_factors else 1
+        return ZNormalForm(nf.free_rank, nf.invariant_factors + (2 * last,))
+
+    return broken
+
+
+def _one_more_free_generator(build):
+    def broken(*args):
+        pres = build(*args)
+        return ZPresentation(pres.generators + 1, tuple(col + (0,) for col in pres.relations))
+
+    return broken
+
+
 def _off_by_one_at_the_full_face(engine):
     def broken(ideal):
         counts = dict(engine(ideal))
@@ -53,13 +70,14 @@ def _off_by_one_at_the_full_face(engine):
 
 
 @pytest.mark.parametrize(
-    "suite, engine, fault, message, first, last",
+    "suite, engine, fault, message, failed, first, last",
     [
         (
             oracles.check_oracle_equivalence,
             "face_counts",
             _off_by_one_at_the_full_face,
             "!= oracle",
+            TRIALS,
             "trial 0: ideal ((0, 3), (1, 1)) face [0, 1]: pairs 1 != oracle 0",
             "trial 19: ideal ((0, 4), (2, 2), (5, 0)) face [0, 1]: pairs 1 != oracle 0",
         ),
@@ -68,6 +86,7 @@ def _off_by_one_at_the_full_face(engine):
             "smith_normal_form",
             _one_more_free_rank,
             "rank additivity broke",
+            TRIALS,
             "trial 0: rank additivity broke: ZNormalForm(free_rank=1, invariant_factors=(2,)) vs "
             "ZNormalForm(free_rank=1, invariant_factors=()) + "
             "ZNormalForm(free_rank=1, invariant_factors=(2,))",
@@ -80,22 +99,57 @@ def _off_by_one_at_the_full_face(engine):
             "submodule_normal_form",
             _one_more_free_rank,
             "sampled kernel is not finite",
+            TRIALS,
             "trial 0: sampled kernel is not finite: "
             "ZNormalForm(free_rank=1, invariant_factors=(4,))",
             "trial 19: sampled kernel is not finite: "
             "ZNormalForm(free_rank=1, invariant_factors=(2, 36))",
         ),
+        # the torsion check runs only on the 13 trials whose kernel is finite
+        (
+            oracles.check_additivity_z,
+            "smith_normal_form",
+            _one_more_invariant_factor,
+            "torsion additivity broke with finite kernel",
+            13,
+            "trial 0: torsion additivity broke with finite kernel: "
+            "ZNormalForm(free_rank=0, invariant_factors=(2, 4)) vs "
+            "ZNormalForm(free_rank=0, invariant_factors=(2,)) + "
+            "ZNormalForm(free_rank=0, invariant_factors=(2, 4))",
+            "trial 19: torsion additivity broke with finite kernel: "
+            "ZNormalForm(free_rank=1, invariant_factors=(2,)) vs "
+            "ZNormalForm(free_rank=1, invariant_factors=(2,)) + "
+            "ZNormalForm(free_rank=0, invariant_factors=(2,))",
+        ),
+        (
+            oracles.check_sigmaprime_artinian_kernel,
+            "quotient_z",
+            _one_more_free_generator,
+            "free rank changed under a finite kernel",
+            TRIALS,
+            "trial 0: free rank changed under a finite kernel: 1 -> 2",
+            "trial 19: free rank changed under a finite kernel: 2 -> 3",
+        ),
     ],
-    ids=["oracle-equivalence", "additivity", "sigmaprime"],
+    ids=[
+        "oracle-equivalence",
+        "additivity",
+        "sigmaprime",
+        "additivity-torsion",
+        "sigmaprime-free-rank",
+    ],
 )
-def test_suite_catches_a_broken_engine(monkeypatch, suite, engine, fault, message, first, last):
-    """The failures, their ``trial i: `` prefixes and their order are pinned
+def test_suite_catches_a_broken_engine(
+    monkeypatch, suite, engine, fault, message, failed, first, last
+):
+    """Each failure branch of each suite is reached.  The failures, their
+    ``trial i: `` prefixes and their order are pinned; the first three cases
     as the suites gave them before they shared one trial loop."""
     assert suite(TRIALS, SEED).ok
     monkeypatch.setattr(oracles, engine, fault(getattr(oracles, engine)))
     report = suite(TRIALS, SEED)
     assert report.checked == TRIALS
-    assert len(report.failures) == TRIALS
+    assert len(report.failures) == failed
     assert all(message in failure for failure in report.failures)
     assert (report.failures[0], report.failures[-1]) == (first, last)
 
@@ -112,26 +166,30 @@ CARACTL_SAMPLE = [(2, 4), (3, 9), (2, 2, 2)]
 
 
 def test_caractl_catches_a_broken_engine(monkeypatch):
-    groups = [oracles.FiniteAbelianGroup(key) for key in CARACTL_SAMPLE]
-    assert all(oracles.check_length_recursion(group) for group in groups)
+    assert all(oracles.check_length_recursion(orders) for orders in CARACTL_SAMPLE)
     monkeypatch.setattr(
         oracles, "smith_normal_form", _drop_last_invariant_factor(oracles.smith_normal_form)
     )
-    assert not any(oracles.check_length_recursion(group) for group in groups)
+    assert not any(oracles.check_length_recursion(orders) for orders in CARACTL_SAMPLE)
 
 
 def test_caractl_asks_the_engine_once_per_group(monkeypatch):
-    engine = oracles.smith_normal_form
-    calls = []
+    """One Smith form per group, and one factorization per candidate order
+    2..100 while the groups are listed; the lattices hold 8,492 subgroups."""
+    calls = {"smith_normal_form": [], "factorize": [], "enumerate_subgroups": []}
+    for name, made in calls.items():
+        engine = getattr(oracles, name)
 
-    def counted(*args):
-        calls.append(args)
-        return engine(*args)
+        def counted(*args, _engine=engine, _made=made):
+            _made.append(_engine(*args))
+            return _made[-1]
 
-    monkeypatch.setattr(oracles, "smith_normal_form", counted)
+        monkeypatch.setattr(oracles, name, counted)
     report = oracles.run_length_recursion_suite()
     assert report.ok and report.checked == 185
-    assert len(calls) == 185
+    assert len(calls["smith_normal_form"]) == 185
+    assert len(calls["factorize"]) == 99
+    assert sum(map(len, calls["enumerate_subgroups"])) == 8_492
 
 
 # p(a), the number of partitions of a, for every exponent a of an order <= 100
@@ -142,7 +200,7 @@ def test_caractl_groups_are_every_abelian_group_once():
     """Of each order n there are as many groups as the product of p(a) over
     the prime powers p^a that divide n exactly; each is one sorted tuple of
     prime powers, listed once, in sorted order."""
-    keys = [group.prime_power_factors for group in oracles.caractl_groups()]
+    keys = oracles.caractl_groups()
     assert keys == sorted(set(keys))
     for key in keys:
         assert list(key) == sorted(key)
@@ -165,12 +223,26 @@ def _omega(n: int) -> int:
 
 @pytest.mark.parametrize(
     "powers, count",
-    [((4,), 3), ((2, 2), 5), ((2, 4), 8), ((2, 2, 2), 16), ((4, 4), 15), ((2, 2, 2, 2), 67)],
+    [
+        ((4,), 3),
+        ((2, 2), 5),
+        ((2, 4), 8),
+        ((2, 2, 2), 16),
+        ((4, 4), 15),
+        ((2, 2, 2, 2), 67),
+        # cyclic orders that are not prime powers: Z/n has one subgroup per
+        # divisor of n, and Z/6 x Z/6 has 5 x 6 (those of (Z/2)^2 and (Z/3)^2)
+        ((6,), 4),
+        ((12,), 6),
+        ((2, 3), 4),
+        ((6, 6), 30),
+    ],
 )
 def test_subgroup_lattice(powers, count):
-    """Known subgroup counts; each key is closed under the group law, and its
-    chain length is the number of prime factors of its index."""
-    lattice = oracles.enumerate_subgroups(oracles.FiniteAbelianGroup(powers))
+    """Known subgroup counts of the product of cyclic groups of the orders
+    ``powers``; each key is closed under the group law, and its chain length
+    is the number of prime factors of its index."""
+    lattice = oracles.enumerate_subgroups(powers)
     assert len(lattice) == count
     order = math.prod(powers)
 
@@ -193,6 +265,11 @@ def test_subgroup_lattice(powers, count):
         assert all(add(a, b) in members for a in members for b in members)
         assert order % len(members) == 0
         assert length == _omega(order // len(members))
+
+
+def test_recursive_length_of_orders_that_are_not_prime_powers():
+    # (Z/12)^2 = (Z/4)^2 x (Z/3)^2 has length 4 + 2, the prime factors of 144
+    assert oracles.recursive_length((12, 12)) == 6 == _omega(144)
 
 
 # ---------------------------------------------------------------------------

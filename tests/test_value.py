@@ -30,7 +30,7 @@ from lenkrull.length_core import (
 )
 from lenkrull.localpid import LocalPIDModule
 from lenkrull.monomial import MonomialIdeal
-from lenkrull.oracles import FiniteAbelianGroup, StandardPair, VerifyReport
+from lenkrull.oracles import StandardPair, VerifyReport
 from lenkrull.ordinal import Ordinal
 from lenkrull.value import Value
 from lenkrull.zmodule import ZNormalForm, ZPresentation
@@ -112,12 +112,6 @@ CASES = {
             ZNormalForm,
             small,
             st.lists(st.integers(2, 3), max_size=2).map(lambda xs: tuple(accumulate(xs, mul))),
-        ),
-    ),
-    FiniteAbelianGroup: (
-        ("prime_power_factors",),
-        st.lists(st.sampled_from((2, 3, 4, 5)), max_size=2).map(
-            lambda powers: FiniteAbelianGroup(tuple(sorted(powers)))
         ),
     ),
     StandardPair: (
@@ -206,7 +200,7 @@ def test_never_equal_to_another_class_with_equal_fields(cls, data):
 
 def test_classes_with_equal_fields_differ():
     pairs = [LocalPIDModule(1, ()), ZNormalForm(1, ()), ZPresentation(1, ())]
-    singles = [Ordinal(()), LengthVector(()), FiniteAbelianGroup(())]
+    singles = [Ordinal(()), LengthVector(())]
     for group in (pairs, singles):
         for i, a in enumerate(group):
             for b in group[i + 1 :]:

@@ -20,7 +20,7 @@ part:
   and lands unshifted (with variables m must be squarefree).
 
 Over the bare integers s is {0: 1}, so Z/m counts Omega(m) at coheight 0
-and Z its rank at coheight 1; only integer presentations use Smith form.
+and Z its rank at coheight 1; only integer presentations use an echelon form.
 
 A prime-power integer generator together with variables is refused rather
 than approximated: splitting it needs additivity at embedded primes, which
@@ -180,9 +180,7 @@ def _piece_vector(ring: RingDescriptor, piece: CyclicPiece) -> dict[int, int]:
 def length_vector(module: ModuleDescriptor) -> LengthVector:
     """Per-coheight multiplicities; additive over the direct sum of pieces."""
     if module.presentation is not None:
-        return LengthVector.from_counts(
-            zmodule.length_vector_z(zmodule.smith_normal_form(module.presentation))
-        )
+        return LengthVector.from_counts(zmodule.length_vector_z(module.presentation))
     total: dict[int, int] = {}
     for piece in module.pieces:
         for alpha, count in _piece_vector(module.ring, piece).items():

@@ -1,27 +1,37 @@
 """Finitely generated Z-modules given by integer presentation matrices.
 
 A module is the cokernel of the matrix whose columns are the relations:
-``Z^k / <columns>``.  Smith normal form turns that into the isomorphism
-invariants (free rank, invariant-factor chain), from which the per-coheight
-multiplicities over Z follow: the zero prime has coheight 1 and picks up the
-free rank, each finite prime p contributes v_p(d_i) at coheight 0.
+``Z^k / <columns>``.  Its per-coheight multiplicities over Z read two
+numbers: the zero prime has coheight 1 and picks up the free rank k - r,
+where r is the rank of the matrix, and the finite primes sit at coheight 0
+and pick up Omega(T), where T, the order of the torsion subgroup, is the
+product of the invariant factors.  No answer reads the invariant factors
+themselves, so the engine finds r and T by row echelon form and never
+builds the invariant-factor chain.
 
 Each algorithm is told in full at its function:
 
 * ``_clear_below``: the one step that combines rows, clearing a column
   below its pivot by extended-gcd combinations;
-* ``smith_normal_form``: the gcd shortcut for at most one generator or
-  relation, and otherwise ``_smith_reduce``'s pivot steps, which clear the
-  pivot's row by transposing, and ``_divisibility_chain``;
-* ``kernel_columns``: integer kernels by row echelon form of [A^T | I],
-  and ``torsion_lattice_basis``, the saturated torsion sublattice from two
-  of them.  Only the oracles' exact sequences call these two, but they
-  stay here: the benchmark's tracer (``perfbench/worker.py``) times them
-  as ``zmodule`` calls, and its tests pin that lookup;
+* ``_echelon``: row echelon form by that step, each column's pivot the
+  entry of least absolute value among the rows not yet pivoted;
+* ``length_vector_z``, the engine: one echelon pass, or two when the
+  matrix is not of full rank, gives r and T as a product of pivots, and
+  each pivot is factored on its own;
+* ``kernel_columns``: integer kernels by ``_echelon`` on [A^T | I], and
+  ``torsion_lattice_basis``, the saturated torsion sublattice from two of
+  them.  Only the oracles' exact sequences call these two;
 * ``factorize``: trial division up to ``FACTOR_BOUND``, a fixed cap that
   nothing overrides, with ``_proven_prime``'s deterministic Miller-Rabin
   test as an early exit;
-* ``length_vector_z``: the multiplicities, factoring one invariant factor.
+* the reference: ``smith_normal_form``, the gcd shortcut for at most one
+  generator or relation, and otherwise ``_smith_reduce``'s pivot steps,
+  which clear the pivot's row by transposing, and ``_divisibility_chain``;
+  ``ZNormalForm.length_vector`` reads the multiplicities off its chain.
+  The oracles' caractl suite checks the engine against it, and so do the
+  tests.  The reference, ``kernel_columns`` and ``torsion_lattice_basis``
+  stay here because the benchmark's tracer (``perfbench/worker.py``) times
+  them as ``zmodule`` calls, and its tests pin that lookup.
 """
 
 from __future__ import annotations
@@ -77,6 +87,28 @@ class ZNormalForm(Value):
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
 
+    def length_vector(self) -> dict[int, int]:
+        """Per-coheight multiplicities: free rank at 1, sum of v_p(d_i) at 0.
+
+        The reference reading of ``length_vector_z``.  Every invariant
+        factor divides the last one, so only the last is factored, and each
+        v_p(d_i) is counted by division by its primes.  A refusal therefore
+        names the last factor's cofactor: any refused d_i leaves a composite
+        cofactor above ``FACTOR_BOUND``**2 that divides it.
+        """
+        vec: dict[int, int] = {}
+        if self.free_rank:
+            vec[1] = self.free_rank
+        if self.invariant_factors:
+            torsion = 0
+            for p in factorize(self.invariant_factors[-1]):
+                for d in self.invariant_factors:
+                    while d % p == 0:
+                        d //= p
+                        torsion += 1
+            vec[0] = torsion
+        return vec
+
 
 def _xgcd(p: int, x: int) -> tuple[int, int, int]:
     """(g, s, u) with s*p + u*x == g == gcd(p, x) > 0, for p > 0 and x != 0."""
@@ -121,6 +153,81 @@ def _clear_below(a: list[list[int]], t: int, c: int, m: int) -> int:
                 ai[j] = pg * z - xg * y
             p = g
     return p
+
+
+def _echelon(rows: list[list[int]], columns: int, width: int) -> list[int]:
+    """Bring ``rows`` to row echelon form over their first ``columns`` columns, in place.
+
+    Column c in turn: the pivot is the entry of least absolute value in
+    column c among the rows not yet pivoted (ties by lowest row).  It moves
+    up to row t, the number of pivots so far, and ``_clear_below`` clears
+    column c below it over columns c..width-1; the earlier pivots left rows
+    t.. zero left of c.  A column that is zero in rows t.. gets no pivot.
+    Returns the pivots, positive, pivot t at row t; the rows after the last
+    pivot end zero in the first ``columns`` columns.
+    """
+    pivots: list[int] = []
+    for c in range(columns):
+        t = len(pivots)
+        least = 0
+        for j in range(t, len(rows)):
+            x = abs(rows[j][c])
+            if x and (x < least or not least):
+                least, p = x, j
+        if least:
+            rows[t], rows[p] = rows[p], rows[t]
+            pivots.append(_clear_below(rows, t, c, width))
+    return pivots
+
+
+def length_vector_z(pres: ZPresentation) -> dict[int, int]:
+    """Per-coheight multiplicities over Z: free rank at 1, Omega(T) at 0.
+
+    Let A be the k x m relation matrix, r its rank, and d_j the gcd of its
+    j x j minors (d_0 = 1).  The invariant factors are s_j = d_j / d_{j-1}
+    for j = 1..r, the free rank is k - r, and T = d_r = s_1 ... s_r.  Row
+    operations of determinant +-1 keep every d_j, and so does transposing.
+
+    The matrix is laid out with its longer side along the rows: the m
+    relations as rows over the k generators when m >= k, the k generators
+    as rows over the m relations otherwise.  ``_echelon`` over its w
+    columns gives the r pivots.  If r = w, the first r rows form an upper
+    triangular block H with the pivots h_1..h_r on its diagonal, and every
+    other row is zero, so det H is the one nonzero r x r minor and T = h_1
+    ... h_r.  If r < w, the r nonzero rows have A's d_j; their transpose
+    has w rows of length r and rank r, and a second pass over it gives such
+    a block H, whose pivots are used instead.
+
+    The torsion length Omega(T) is the sum of Omega(h_i) over the pivots
+    above 1, each split by ``factorize``.  This refuses no input that the
+    reference, ``smith_normal_form(pres).length_vector()``, answers; the
+    reference factors s_r alone.  Deleting row i and column i of H leaves
+    an upper triangular minor with the diagonal h_j, j != i, so equal to
+    T / h_i, and d_{r-1} divides it.  As T = d_{r-1} s_r, h_i divides s_r,
+    so v_q(h_i) <= v_q(s_r) for every prime q.  ``factorize`` answers n
+    exactly when the prime factors of n that its trial division does not
+    reach multiply to 1 or to one prime below the square of its first
+    untried divisor (see its docstring); that product for h_i divides the
+    one for s_r, so h_i is answered whenever s_r is, and both readings give
+    Omega(T).
+    """
+    k, rels = pres.generators, pres.relations
+    if len(rels) >= k:
+        rows, width = [list(col) for col in rels], k
+    else:
+        rows, width = [list(row) for row in zip(*rels)], len(rels)
+    pivots = _echelon(rows, width, width)
+    rank = len(pivots)
+    if rank < width:
+        rows = [list(col) for col in zip(*rows[:rank])]
+        pivots = _echelon(rows, rank, rank)
+    vec: dict[int, int] = {}
+    if k > rank:
+        vec[1] = k - rank
+    torsion = sum([sum(factorize(h).values()) for h in pivots if h > 1])
+    if torsion:
+        vec[0] = torsion
+    return vec
 
 
 def _smith_reduce(a: list[list[int]], m: int) -> list[int]:
@@ -217,34 +324,20 @@ def smith_normal_form(pres: ZPresentation) -> ZNormalForm:
 def kernel_columns(k: int, columns: Sequence[Vector], keep: int | None = None) -> list[Vector]:
     """Basis of the integer kernel of the k-row matrix A with the given columns.
 
-    Unimodular row operations bring [A^T | I] to row echelon form, one row
-    of A at a time.  For row r of A, the pivot is the entry of least
-    absolute value in column r among the rows not yet pivoted (ties by
-    lowest row), and ``_clear_below`` clears column r below it.  Earlier
-    pivots left those rows zero in the columns left of r.  The rows whose
-    A^T part ends up zero hold a kernel basis in their identity part.  With
-    ``keep=t`` the identity part holds only its first t columns, and each
-    basis vector comes back as its first t coordinates: the pivots and the
-    combinations read A's entries alone, so nothing else changes.
+    ``_echelon`` brings [A^T | I] to row echelon form over its A^T part,
+    one row of A at a time.  The rows whose A^T part ends up zero hold a
+    kernel basis in their identity part.  With ``keep=t`` the identity part
+    holds only its first t columns, and each basis vector comes back as its
+    first t coordinates: the pivots and the combinations read A's entries
+    alone, so nothing else changes.
     """
     m = len(columns)
     if keep is None:
         keep = m
-    n = k + keep
     rows = [list(col) + [0] * keep for col in columns]
     for j in range(min(m, keep)):
         rows[j][k + j] = 1
-    t = 0
-    for r in range(k):
-        least = 0
-        for j in range(t, m):
-            x = abs(rows[j][r])
-            if x and (x < least or not least):
-                least, p = x, j
-        if least:
-            rows[t], rows[p] = rows[p], rows[t]
-            _clear_below(rows, t, r, n)
-            t += 1
+    t = len(_echelon(rows, k, k + keep))
     return [tuple(row[k:]) for row in rows[t:]]
 
 
@@ -371,25 +464,3 @@ def is_squarefree(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and prime_exponents(n) == (1,)
-
-
-def length_vector_z(nf: ZNormalForm) -> dict[int, int]:
-    """Per-coheight multiplicities over Z: rank at 1, sum of v_p(d_i) at 0.
-
-    Every invariant factor divides the last one, so only the last is
-    factored, and each v_p(d_i) is counted by division by its primes.  A
-    refusal therefore names the last factor's cofactor: any refused d_i
-    leaves a composite cofactor above ``FACTOR_BOUND``**2 that divides it.
-    """
-    vec: dict[int, int] = {}
-    if nf.free_rank:
-        vec[1] = nf.free_rank
-    if nf.invariant_factors:
-        torsion = 0
-        for p in factorize(nf.invariant_factors[-1]):
-            for d in nf.invariant_factors:
-                while d % p == 0:
-                    d //= p
-                    torsion += 1
-        vec[0] = torsion
-    return vec

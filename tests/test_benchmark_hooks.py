@@ -44,5 +44,5 @@ def test_traced_run_answers_as_the_untraced_one(worker):
     assert [worker.run_line(line) for line in LINES] == plain
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {
-        "cli.parse", "cli.render", "zmodule.snf", "zmodule.submodule", "localpid", "oracles.additivity"
+        "cli.parse", "cli.render", "zmodule.length_vector_z", "localpid", "oracles.additivity"
     } <= recorded

@@ -120,9 +120,10 @@ def test_ring_factorizes_its_integer_generator_once(monkeypatch):
 
 def test_bare_integer_pieces_never_reach_smith_normal_form(monkeypatch):
     def refuse(pres):
-        raise AssertionError(f"smith_normal_form called on {pres}")
+        raise AssertionError(f"a presentation engine was called on {pres}")
 
     monkeypatch.setattr(zmodule, "smith_normal_form", refuse)
+    monkeypatch.setattr(zmodule, "length_vector_z", refuse)
     expected = {
         "ring Z": {"1": 1},
         "ring Z --ideal 12": {"0": 3},
@@ -569,10 +570,20 @@ class TestIntegerTextLimits:
         assert (error["code"], error["message"]) == ("parse", message)
 
     def test_long_cofactor_is_named_by_its_size(self):
-        matrix = f"[[{10**3000 + 1},0],[0,{10**2999 + 3}]]"
+        # the torsion order is the product of the two entries, past the
+        # 4300 digits that str() converts; the elimination's pivots are 1
+        # and that product
+        matrix = f"[[{10**3000 + 1},0],[1,{10**2999 + 3}]]"
         assert run(f"zmodule --matrix '{matrix}'") == (
             1,
             "error[factor-bound]: cannot certify a factorization of a 5981-digit cofactor: "
+            "no prime divisor up to 1000000",
+        )
+        # on the diagonal each entry is a pivot, factored on its own
+        matrix = f"[[{10**3000 + 1},0],[0,{10**2999 + 3}]]"
+        assert run(f"zmodule --matrix '{matrix}'") == (
+            1,
+            "error[factor-bound]: cannot certify a factorization of a 2983-digit cofactor: "
             "no prime divisor up to 1000000",
         )
 

@@ -34,21 +34,16 @@ RANDOMIZED = {
 }
 
 
-def _one_more_free_rank(engine):
-    def broken(*args):
-        nf = engine(*args)
-        return ZNormalForm(nf.free_rank + 1, nf.invariant_factors)
+def _one_more_at(coheight):
+    def fault(engine):
+        def broken(*args):
+            vec = dict(engine(*args))
+            vec[coheight] = vec.get(coheight, 0) + 1
+            return dict(sorted(vec.items(), reverse=True))
 
-    return broken
+        return broken
 
-
-def _one_more_invariant_factor(engine):
-    def broken(*args):
-        nf = engine(*args)
-        last = nf.invariant_factors[-1] if nf.invariant_factors else 1
-        return ZNormalForm(nf.free_rank, nf.invariant_factors + (2 * last,))
-
-    return broken
+    return fault
 
 
 def _one_more_free_generator(build):
@@ -81,45 +76,35 @@ def _off_by_one_at_the_full_face(engine):
             "trial 0: ideal ((0, 3), (1, 1)) face [0, 1]: pairs 1 != oracle 0",
             "trial 19: ideal ((0, 4), (2, 2), (5, 0)) face [0, 1]: pairs 1 != oracle 0",
         ),
+        # the length-vector faults hit M, K and M/K alike
         (
             oracles.check_additivity_z,
-            "smith_normal_form",
-            _one_more_free_rank,
+            "length_vector_z",
+            _one_more_at(1),
             "rank additivity broke",
             TRIALS,
-            "trial 0: rank additivity broke: ZNormalForm(free_rank=1, invariant_factors=(2,)) vs "
-            "ZNormalForm(free_rank=1, invariant_factors=()) + "
-            "ZNormalForm(free_rank=1, invariant_factors=(2,))",
-            "trial 19: rank additivity broke: ZNormalForm(free_rank=2, invariant_factors=()) vs "
-            "ZNormalForm(free_rank=2, invariant_factors=()) + "
-            "ZNormalForm(free_rank=1, invariant_factors=())",
+            "trial 0: rank additivity broke: {1: 1, 0: 1} vs {1: 1} + {1: 1, 0: 1}",
+            "trial 19: rank additivity broke: {1: 2} vs {1: 2} + {1: 1}",
         ),
         (
             oracles.check_sigmaprime_artinian_kernel,
-            "submodule_normal_form",
-            _one_more_free_rank,
+            "length_vector_z",
+            _one_more_at(1),
             "sampled kernel is not finite",
             TRIALS,
-            "trial 0: sampled kernel is not finite: "
-            "ZNormalForm(free_rank=1, invariant_factors=(4,))",
-            "trial 19: sampled kernel is not finite: "
-            "ZNormalForm(free_rank=1, invariant_factors=(2, 36))",
+            "trial 0: sampled kernel is not finite: {1: 1, 0: 2}",
+            "trial 19: sampled kernel is not finite: {1: 1, 0: 5}",
         ),
         # the torsion check runs only on the 13 trials whose kernel is finite
         (
             oracles.check_additivity_z,
-            "smith_normal_form",
-            _one_more_invariant_factor,
+            "length_vector_z",
+            _one_more_at(0),
             "torsion additivity broke with finite kernel",
             13,
-            "trial 0: torsion additivity broke with finite kernel: "
-            "ZNormalForm(free_rank=0, invariant_factors=(2, 4)) vs "
-            "ZNormalForm(free_rank=0, invariant_factors=(2,)) + "
-            "ZNormalForm(free_rank=0, invariant_factors=(2, 4))",
+            "trial 0: torsion additivity broke with finite kernel: {0: 2} vs {0: 1} + {0: 2}",
             "trial 19: torsion additivity broke with finite kernel: "
-            "ZNormalForm(free_rank=1, invariant_factors=(2,)) vs "
-            "ZNormalForm(free_rank=1, invariant_factors=(2,)) + "
-            "ZNormalForm(free_rank=0, invariant_factors=(2,))",
+            "{1: 1, 0: 1} vs {1: 1, 0: 1} + {0: 1}",
         ),
         (
             oracles.check_sigmaprime_artinian_kernel,
@@ -167,6 +152,13 @@ CARACTL_SAMPLE = [(2, 4), (3, 9), (2, 2, 2)]
 
 def test_caractl_catches_a_broken_engine(monkeypatch):
     assert all(oracles.check_length_recursion(orders) for orders in CARACTL_SAMPLE)
+    monkeypatch.setattr(oracles, "length_vector_z", _one_more_at(0)(oracles.length_vector_z))
+    assert not any(oracles.check_length_recursion(orders) for orders in CARACTL_SAMPLE)
+
+
+def test_caractl_catches_a_broken_reference(monkeypatch):
+    """caractl cross-checks the engine against the Smith form reference, so a
+    fault in the reference alone fails it too."""
     monkeypatch.setattr(
         oracles, "smith_normal_form", _drop_last_invariant_factor(oracles.smith_normal_form)
     )
@@ -174,9 +166,15 @@ def test_caractl_catches_a_broken_engine(monkeypatch):
 
 
 def test_caractl_asks_the_engine_once_per_group(monkeypatch):
-    """One Smith form per group, and one factorization per candidate order
-    2..100 while the groups are listed; the lattices hold 8,492 subgroups."""
-    calls = {"smith_normal_form": [], "factorize": [], "enumerate_subgroups": []}
+    """One engine call and one Smith form per group, and one factorization
+    per candidate order 2..100 while the groups are listed; the lattices
+    hold 8,492 subgroups."""
+    calls = {
+        "length_vector_z": [],
+        "smith_normal_form": [],
+        "factorize": [],
+        "enumerate_subgroups": [],
+    }
     for name, made in calls.items():
         engine = getattr(oracles, name)
 
@@ -187,7 +185,7 @@ def test_caractl_asks_the_engine_once_per_group(monkeypatch):
         monkeypatch.setattr(oracles, name, counted)
     report = oracles.run_length_recursion_suite()
     assert report.ok and report.checked == 185
-    assert len(calls["smith_normal_form"]) == 185
+    assert len(calls["length_vector_z"]) == len(calls["smith_normal_form"]) == 185
     assert len(calls["factorize"]) == 99
     assert sum(map(len, calls["enumerate_subgroups"])) == 8_492
 
@@ -321,22 +319,22 @@ def test_indexing_by_draw_is_choice(length, seed):
             assert ours.getstate() == reference.getstate()
 
 
-ENGINES = ("smith_normal_form", "submodule_normal_form", "torsion_lattice_basis", "face_counts")
+ENGINES = ("length_vector_z", "submodule_z", "torsion_lattice_basis", "face_counts")
 STREAM_SEEDS, STREAM_TRIALS = (0, 1, 7, 11), 50
 # (calls, SHA-256 of their repr) for the engine inputs below, recorded while
 # the suites drew through rng.randint and rng.choice; additivity's also
-# depends on the torsion basis the engine returns, which its vectors combine
+# depends on the torsion basis the engine returns, which its vectors combine.
+# Each submodule_z call is followed by the engine call on its result.
 PINNED_STREAMS = {
-    "additivity": (684, "66216462282c3c54ba715305716e2ccd15e84c9893f31151b35a0fc9b548c770"),
-    "sigmaprime": (600, "0af9643ff679eb7cf332cfea1dfbc15a54a648263dce828508399ca24082f609"),
+    "additivity": (884, "1489b34882b1cf62e4fffb16b5fbe6a0becf897cc2e1d934bb8fb9ffec5d1445"),
+    "sigmaprime": (800, "25de9e19a51ef1efdca520fe0ddea0c2478c2aac7cb9724a8277aba9ac898a3d"),
     "oracle-equivalence": (200, "3215e21c2a4b2c2c5285f716bd4881c498a3324f7069457ea473bef7fa3706bd"),
 }
 
 
 def _engine_inputs(suite):
     """The arguments of each engine call the trials make, over every stream
-    seed; calls an engine makes inside another, such as the Smith form inside
-    ``submodule_normal_form``, are left out."""
+    seed; a call that one of these engines makes inside another is left out."""
     calls = []
     depth = [0]
     with pytest.MonkeyPatch.context() as patch:

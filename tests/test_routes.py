@@ -22,7 +22,7 @@ from lenkrull.length_core import (
     length_vector,
 )
 from lenkrull.monomial import minimalize
-from lenkrull.zmodule import ZPresentation, length_vector_z, smith_normal_form
+from lenkrull.zmodule import ZPresentation, smith_normal_form
 
 NAMES = ("x", "y", "z")
 PRIMES = (2, 3, 5)
@@ -141,6 +141,6 @@ def test_bare_integer_pieces_agree_with_the_smith_form_of_their_diagonal(pieces)
     k = len(pieces)
     diagonal = [1 if p.monomial_part.is_unit else p.integer_part for p in pieces]
     columns = tuple(tuple(d if j == i else 0 for j in range(k)) for i, d in enumerate(diagonal))
-    expected = length_vector_z(smith_normal_form(ZPresentation(k, columns)))
+    expected = smith_normal_form(ZPresentation(k, columns)).length_vector()
     module = ModuleDescriptor(RingDescriptor("Z"), pieces=tuple(pieces))
     assert length_vector(module) == LengthVector.from_counts(expected)

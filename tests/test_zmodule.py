@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cache
 from math import gcd, isqrt, prod
 
 import pytest
@@ -101,13 +102,20 @@ def _mixed_presentation(seed: int) -> tuple[ZPresentation, ZNormalForm]:
     big, prime = rng.randrange(len(chain)), rng.choice(PRIMES_NEAR_1E11)
     chain[big:] = [d * prime for d in chain[big:]]
     diag = [1] * (size - len(chain)) + chain
+    return _scrambled(rng, diag, free), ZNormalForm(free, tuple(chain))
+
+
+def _scrambled(rng: random.Random, diag: list[int], free: int = 0) -> ZPresentation:
+    """U * D * V, with D the diagonal ``diag`` above ``free`` zero rows and
+    U, V unimodular: the cokernel is Z^free plus the Z/d of ``diag``."""
+    size = len(diag)
     u, v = _unimodular(rng, size + free), _unimodular(rng, size)
     # column j of U * D * V is the sum over i of U's column i times diag[i] * V[i][j]
     columns = tuple(
         tuple(sum(u[r][i] * diag[i] * v[i][j] for i in range(size)) for r in range(size + free))
         for j in range(size)
     )
-    return ZPresentation(size + free, columns), ZNormalForm(free, tuple(chain))
+    return ZPresentation(size + free, columns)
 
 
 class TestSmithNormalForm:
@@ -273,6 +281,144 @@ class TestReductionAgainstReference:
         assert _divisibility_chain(_smith_reduce([list(r) for r in rows], 3)) == [1, 4]
 
 
+# -- the engine against the Smith form reference -----------------------------
+
+
+@cache
+def _primes_to_bound() -> tuple[int, ...]:
+    """The primes up to ``FACTOR_BOUND``, sieved once."""
+    sieve = bytearray([1]) * (FACTOR_BOUND + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(FACTOR_BOUND) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, FACTOR_BOUND + 1, i)))
+    return tuple(i for i in range(FACTOR_BOUND + 1) if sieve[i])
+
+
+def _assert_torsion_length(order: int, torsion: int) -> None:
+    """``torsion`` can be Omega(order), given that each prime factor of
+    ``order`` above ``FACTOR_BOUND`` is below (FACTOR_BOUND + 1)**2, as in
+    any answer: the primes up to the bound are counted exactly, and the n
+    left over must fit the size of the rest of ``order``."""
+    small = 0
+    for p in _primes_to_bound():
+        while order % p == 0:
+            order //= p
+            small += 1
+    n = torsion - small
+    if order == 1:
+        assert n == 0
+    else:
+        assert n >= 1 and FACTOR_BOUND**n < order < (FACTOR_BOUND + 1) ** (2 * n)
+
+
+def _check_engine(rows: list[list[int]], m: int) -> None:
+    """The engine answers as the reference wherever the reference answers;
+    where it refuses, the engine refuses or has the reference's free rank and
+    a torsion length that fits the torsion order, and at up to 4 x 4 the
+    reference's invariants are checked against the minor gcds too."""
+    pres = ZPresentation(m, tuple(map(tuple, rows)))
+    nf = smith_normal_form(pres)
+    try:
+        expected = nf.length_vector()
+    except FactorBoundError:
+        expected = None
+    try:
+        got = length_vector_z(pres)
+    except FactorBoundError:
+        assert expected is None
+        return
+    if expected is not None:
+        assert got == expected
+        return
+    assert got.get(1, 0) == nf.free_rank
+    if m <= 4 and len(rows) <= 4:
+        assert (nf.free_rank, nf.invariant_factors) == _invariants_by_minor_gcds(pres)
+    _assert_torsion_length(prod(nf.invariant_factors), got.get(0, 0))
+
+
+
+@st.composite
+def _deficient_rows(draw, max_rows: int = 8, max_cols: int = 7):
+    """(rows, m): integer combinations of at most three drawn rows, so the
+    rank stays below the shape's whenever both sides exceed three."""
+    m = draw(st.integers(1, max_cols))
+    basis = draw(st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=3))
+    mixes = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+    rows = [
+        [sum(c * b[j] for c, b in zip(mix, basis)) for j in range(m)]
+        for mix in draw(st.lists(mixes, max_size=max_rows))
+    ]
+    return rows, m
+
+
+@st.composite
+def _padded_rows(draw):
+    """(rows, m) from ``_relation_rows`` with zero columns and zero rows put in."""
+    rows, m = draw(_relation_rows(max_rows=6, max_cols=5))
+    for at in sorted(draw(st.lists(st.integers(0, m), max_size=2)), reverse=True):
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+        m += 1
+    for at in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
+        rows.insert(at, [0] * m)
+    return rows, m
+
+
+class TestEngineAgainstReference:
+    @settings(max_examples=300)
+    @given(_relation_rows())
+    def test_matches_the_smith_form(self, shape):
+        _check_engine(*shape)
+
+    # tall and wide layouts take one pass when of full rank
+    @given(_relation_rows(max_rows=12, max_cols=3))
+    def test_matches_on_tall_matrices(self, shape):
+        _check_engine(*shape)
+
+    @given(_relation_rows(max_rows=3, max_cols=12))
+    def test_matches_on_wide_matrices(self, shape):
+        _check_engine(*shape)
+
+    # the second pass runs only below full rank
+    @settings(max_examples=200)
+    @given(_deficient_rows())
+    def test_matches_on_rank_deficient_matrices(self, shape):
+        _check_engine(*shape)
+
+    @given(_padded_rows())
+    def test_matches_with_zero_rows_and_columns(self, shape):
+        _check_engine(*shape)
+
+    # about one in a hundred of these the reference refuses and the engine
+    # answers; the minor gcds check the reference's invariants there
+    @settings(max_examples=300)
+    @given(_relation_rows(max_rows=4, max_cols=4))
+    def test_small_shapes_against_the_minor_gcds(self, shape):
+        _check_engine(*shape)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_on_mixed_diagonals(self, seed):
+        pres, expected = _mixed_presentation(seed)
+        assert length_vector_z(pres) == expected.length_vector()
+
+    def test_a_large_prime_in_two_invariant_factors(self):
+        """With invariant factors (q, q s), T = q^2 s has the composite q^2
+        beyond the bound, so T itself cannot be factored; each pivot divides
+        q s, which can."""
+        q = 999_999_000_001  # prime, between 10^6 and 10^12
+        with pytest.raises(FactorBoundError):
+            factorize(q * q * 12)
+        rng = random.Random(12)
+        for size in range(2, 7):
+            free = size % 2
+            pres = _scrambled(rng, [1] * (size - 2) + [q, 12 * q], free)
+            nf = smith_normal_form(pres)
+            assert nf == ZNormalForm(free, (q, 12 * q))
+            vec = length_vector_z(pres)
+            assert vec == nf.length_vector()
+            assert (vec.get(1, 0), vec[0]) == (free, 5)
+
+
 _BIG = st.integers(-(10**12), 10**12)
 
 
@@ -382,29 +528,63 @@ class TestKernels:
         assert _maximal_minor_gcd(basis, pres.generators) == 1
 
 
+def _diagonal(k: int, factors) -> ZPresentation:
+    """Z^k modulo d_i e_i, one relation column per factor."""
+    columns = tuple((0,) * i + (d,) + (0,) * (k - 1 - i) for i, d in enumerate(factors))
+    return ZPresentation(k, columns)
+
+
 class TestLengthVector:
+    """The engine ``length_vector_z`` and the reference reading
+    ``ZNormalForm.length_vector``."""
+
     def test_examples(self):
-        assert length_vector_z(ZNormalForm(1, (2,))) == {1: 1, 0: 1}
-        assert length_vector_z(ZNormalForm(0, ())) == {}
-        assert length_vector_z(ZNormalForm(0, (12,))) == {0: 3}
-        assert length_vector_z(ZNormalForm(2, (6, 12, 360))) == {1: 2, 0: 2 + 3 + 6}
-        # a prime above the bound, certified, in every factor
-        assert length_vector_z(ZNormalForm(0, (2000006, 4000012))) == {0: 5}
+        for nf, vec in [
+            (ZNormalForm(1, (2,)), {1: 1, 0: 1}),
+            (ZNormalForm(0, ()), {}),
+            (ZNormalForm(0, (12,)), {0: 3}),
+            (ZNormalForm(2, (6, 12, 360)), {1: 2, 0: 2 + 3 + 6}),
+            # a prime above the bound, certified, in every factor
+            (ZNormalForm(0, (2000006, 4000012)), {0: 5}),
+        ]:
+            assert nf.length_vector() == vec
+            k = nf.free_rank + len(nf.invariant_factors)
+            assert length_vector_z(_diagonal(k, nf.invariant_factors)) == vec
 
     def test_refusal_names_the_last_factors_cofactor(self):
-        # both factors are refused; only the last one is factored
+        # both factors are refused; the reference factors only the last one,
+        # the engine each pivot in turn, so it names the first
         first = 1000003 * 1000033
         last = first * 1000037
         with pytest.raises(FactorBoundError) as refusal:
-            length_vector_z(ZNormalForm(0, (first, 4 * last)))
+            ZNormalForm(0, (first, 4 * last)).length_vector()
         assert refusal.value.message == (
             f"cannot certify a factorization of {last}: no prime divisor up to {FACTOR_BOUND}"
+        )
+        with pytest.raises(FactorBoundError) as refusal:
+            length_vector_z(_diagonal(2, (first, 4 * last)))
+        assert refusal.value.message == (
+            f"cannot certify a factorization of {first}: no prime divisor up to {FACTOR_BOUND}"
         )
 
     def test_prime_power_column(self):
         for n in range(1, 10):
-            vec = length_vector_z(smith_normal_form(ZPresentation(1, ((2**n,),))))
-            assert vec == {0: n}
+            assert length_vector_z(ZPresentation(1, ((2**n,),))) == {0: n}
+
+    def test_answers_where_the_smith_chain_merges_two_primes(self):
+        # the one change of behaviour: the chain is (1000003 * 1000033,),
+        # which the reference cannot split, while the pivots are the primes
+        pres = ZPresentation(2, ((1000003, 0), (0, 1000033)))
+        assert length_vector_z(pres) == {0: 2}
+        with pytest.raises(FactorBoundError):
+            smith_normal_form(pres).length_vector()
+
+    def test_no_generators_or_no_relations(self):
+        assert length_vector_z(ZPresentation(0, ())) == {}
+        assert length_vector_z(ZPresentation(0, ((), ()))) == {}
+        assert length_vector_z(ZPresentation(3, ())) == {1: 3}
+        assert length_vector_z(ZPresentation(2, ((0, 0), (0, 0), (0, 0)))) == {1: 2}
+
 
 
 class TestLambdaAndQuotient:
